@@ -11,11 +11,10 @@
 #include "algo/greedy.h"
 #include "algo/local_search.h"
 #include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "bench_common.h"
 #include "core/lower_bounds.h"
-#include "sim/policies.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -78,7 +77,8 @@ int main(int argc, char** argv) {
           const auto mpls = local_search_improve(inst, mp, options, &stats);
           mpls_r.push_back(ratio(mpls.makespan, lb));
           steps.push_back(static_cast<double>(stats.rounds));
-          const auto best = best_of_rebalance(inst, k);
+          const auto best =
+              solver::solve_serial(solver::BackendId::kBestOf, inst, k);
           best_r.push_back(ratio(best.makespan, lb));
           const auto bestls = local_search_improve(inst, best, options);
           bestls_r.push_back(ratio(bestls.makespan, lb));
@@ -141,8 +141,8 @@ int main(int argc, char** argv) {
     base.move_budget = 10;
     Table table({"policy", "drain prob", "mean imb", "forced moves",
                  "policy moves"});
-    for (const auto& policy : standard_rebalancers()) {
-      if (policy.name == "lpt-full") continue;
+    for (const auto& backend : solver::all_backends()) {
+      if (backend.costed || !backend.respects_k) continue;
       for (double drain : {0.0, 0.05, 0.15}) {
         std::vector<double> imb, forced, voluntary;
         for (std::uint64_t seed = 1; seed <= smoke_cap<std::uint64_t>(4, 1);
@@ -150,14 +150,17 @@ int main(int argc, char** argv) {
           auto options = base;
           options.drain_prob = drain;
           options.seed = seed;
-          sim::Simulator simulator(options, policy.run);
+          sim::Simulator simulator(
+              options, [&](const Instance& inst, std::int64_t k) {
+                return solver::solve_serial(backend.id, inst, k);
+              });
           const auto result = simulator.run();
           imb.push_back(result.mean_imbalance);
           forced.push_back(static_cast<double>(result.total_forced_moves));
           voluntary.push_back(static_cast<double>(result.total_moves));
         }
         table.row()
-            .add(policy.name)
+            .add(backend.name)
             .add(drain, 3)
             .add(summarize(imb).mean, 4)
             .add(summarize(forced).mean, 4)
@@ -183,8 +186,10 @@ int main(int argc, char** argv) {
         auto options = base;
         options.migrations_per_step = rate;
         options.seed = seed;
-        sim::Simulator simulator(options,
-                                 sim::unit_policy("greedy"));
+        sim::Simulator simulator(
+            options, [](const Instance& inst, std::int64_t k) {
+              return solver::solve_serial(solver::BackendId::kGreedy, inst, k);
+            });
         const auto result = simulator.run();
         imb.push_back(result.mean_imbalance);
         p90.push_back(result.imbalance.p90);

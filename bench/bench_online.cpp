@@ -7,11 +7,10 @@
 
 #include <iostream>
 
-#include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "bench_common.h"
 #include "online/scheduler.h"
 #include "online/trace.h"
+#include "solver/registry.h"
 #include "util/rng.h"
 
 namespace {
@@ -45,8 +44,9 @@ RunMetrics run_trace(const std::vector<lrb::online::Event>& trace,
           [frugal](const Instance& inst, std::int64_t budget) {
             // M-PARTITION stops at its 1.5 guarantee (frugal); best-of also
             // runs GREEDY, which spends the budget chasing the minimum.
-            return frugal ? m_partition_rebalance(inst, budget)
-                          : best_of_rebalance(inst, budget);
+            return solver::solve_serial(frugal ? solver::BackendId::kMPartition
+                                               : solver::BackendId::kBestOf,
+                                        inst, budget);
           },
           k);
       metrics.total_moves += result.moves;

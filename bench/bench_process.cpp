@@ -6,9 +6,9 @@
 
 #include <iostream>
 
-#include "algo/rebalancer.h"
 #include "bench_common.h"
 #include "sim/process_sim.h"
+#include "solver/registry.h"
 
 int main(int argc, char** argv) {
   using namespace lrb;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       ProcessPolicy policy;
       if (row.rebalance_every > 0) {
         policy = [](const Instance& inst, std::int64_t k) {
-          return best_of_rebalance(inst, k);
+          return solver::solve_serial(solver::BackendId::kBestOf, inst, k);
         };
       }
       const auto result = run_process_sim(options, policy);

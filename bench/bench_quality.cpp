@@ -7,9 +7,9 @@
 
 #include "algo/greedy.h"
 #include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "bench_common.h"
 #include "core/lower_bounds.h"
+#include "solver/registry.h"
 
 int main(int argc, char** argv) {
   using namespace lrb;
@@ -36,7 +36,10 @@ int main(int argc, char** argv) {
           const auto mp = m_partition_rebalance(inst, k);
           mp_r.push_back(ratio(mp.makespan, lb));
           mp_moves.push_back(static_cast<double>(mp.moves));
-          best_r.push_back(ratio(best_of_rebalance(inst, k).makespan, lb));
+          best_r.push_back(ratio(
+              solver::solve_serial(solver::BackendId::kBestOf, inst, k)
+                  .makespan,
+              lb));
         }
         table.row()
             .add(family.name)

@@ -5,10 +5,9 @@
 
 #include <iostream>
 
-#include "algo/rebalancer.h"
 #include "bench_common.h"
-#include "sim/policies.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 
 int main(int argc, char** argv) {
   using namespace lrb;
@@ -29,17 +28,23 @@ int main(int argc, char** argv) {
 
   Table table({"policy", "k", "mean imb", "p90 imb", "moves/round",
                "GB moved"});
-  for (const auto& policy : standard_rebalancers()) {
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.costed) continue;  // the byte-budgeted rows follow
+    // k is irrelevant to the identity and to a full reassignment.
+    const bool k_irrelevant =
+        backend.id == solver::BackendId::kNone || !backend.respects_k;
     for (std::int64_t k : {4, 12, 36}) {
-      if (policy.name == "none" && k != 4) continue;      // k is irrelevant
-      if (policy.name == "lpt-full" && k != 4) continue;  // budget ignored
+      if (k_irrelevant && k != 4) continue;
       std::vector<double> imbalances, p90s, moves, bytes;
       for (std::uint64_t seed = 1; seed <= smoke_cap<std::uint64_t>(5, 1);
            ++seed) {
         auto options = base;
         options.move_budget = k;
         options.seed = seed;
-        Simulator simulator(options, policy.run);
+        Simulator simulator(options, [&](const Instance& inst,
+                                         std::int64_t budget) {
+          return solver::solve_serial(backend.id, inst, budget);
+        });
         const auto result = simulator.run();
         imbalances.push_back(result.imbalance.mean);
         p90s.push_back(result.imbalance.p90);
@@ -50,9 +55,8 @@ int main(int argc, char** argv) {
         bytes.push_back(static_cast<double>(result.total_bytes) / 1e6);
       }
       table.row()
-          .add(policy.name)
-          .add(policy.name == "none" || policy.name == "lpt-full" ? "-"
-                                                                  : std::to_string(k))
+          .add(backend.name)
+          .add(k_irrelevant ? "-" : std::to_string(k))
           .add(summarize(imbalances).mean, 4)
           .add(summarize(p90s).mean, 4)
           .add(summarize(moves).mean, 4)
@@ -68,7 +72,11 @@ int main(int argc, char** argv) {
       auto options = base;
       options.byte_costs = true;
       options.seed = seed;
-      Simulator simulator(options, cost_partition_policy(bytes));
+      const solver::SolverSpec spec(solver::BackendId::kCostPartition,
+                                    {.budget = bytes});
+      Simulator simulator(options, [&](const Instance& inst, std::int64_t k) {
+        return solver::solve_serial(spec, inst, k);
+      });
       const auto result = simulator.run();
       imbalances.push_back(result.imbalance.mean);
       p90s.push_back(result.imbalance.p90);
@@ -87,7 +95,7 @@ int main(int argc, char** argv) {
   }
   emit_table(table, "e11_sim");
   std::cout << "\nExpected shape: 'none' drifts to the worst imbalance; "
-               "bounded-k policies close most of the gap to 'lpt-full' while "
+               "bounded-k policies close most of the gap to 'lpt' while "
                "migrating orders of magnitude less; larger k helps with "
                "diminishing returns.\n";
   return 0;

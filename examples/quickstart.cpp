@@ -11,11 +11,29 @@
 #include <iostream>
 
 #include "algo/greedy.h"
-#include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "core/generators.h"
 #include "core/lower_bounds.h"
+#include "solver/registry.h"
 #include "util/table.h"
+
+namespace {
+
+const char* guarantee_text(lrb::solver::BackendId backend) {
+  using lrb::solver::BackendId;
+  switch (backend) {
+    case BackendId::kGreedy:
+      return "2 - 1/m approx";
+    case BackendId::kMPartition:
+    case BackendId::kLocalSearch:
+      return "1.5 approx (Thm 3)";
+    case BackendId::kBestOf:
+      return "1.5 approx";
+    default:
+      return "-";
+  }
+}
+
+}  // namespace
 
 int main() {
   using namespace lrb;
@@ -42,20 +60,18 @@ int main() {
 
   Table table({"algorithm", "makespan", "moves", "vs initial", "guarantee"});
   const Size initial = instance.initial_makespan();
-  for (const auto& algo : standard_rebalancers()) {
-    if (algo.name == "lpt-full") continue;  // ignores the budget; see webfarm
-    const auto result = algo.run(instance, k);
+  for (const auto& backend : solver::all_backends()) {
+    // The budgeted backends and full reassignment ignore k; see webfarm.
+    if (backend.costed || !backend.respects_k) continue;
+    const auto result = solver::solve_serial(backend.id, instance, k);
     table.row()
-        .add(algo.name)
+        .add(backend.name)
         .add(result.makespan)
         .add(result.moves)
         .add(static_cast<double>(result.makespan) /
                  static_cast<double>(initial),
              3)
-        .add(algo.name == "greedy"       ? "2 - 1/m approx"
-             : algo.name == "m-partition" ? "1.5 approx (Thm 3)"
-             : algo.name == "best-of"     ? "1.5 approx"
-                                          : "-");
+        .add(guarantee_text(backend.id));
   }
   table.print(std::cout);
 

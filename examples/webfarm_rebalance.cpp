@@ -4,16 +4,17 @@
 //
 //   $ ./examples/webfarm_rebalance
 //
-// Compares policies over a 400-step horizon: doing nothing, GREEDY,
-// M-PARTITION, best-of, and an (unrealistic) full LPT rebalance that ignores
-// the migration budget. The punchline the paper's introduction promises:
-// a handful of moves per round keeps the farm near-balanced at a tiny
-// fraction of the migration traffic of full rebalancing.
+// Compares every move-budgeted registry backend over a 400-step horizon:
+// GREEDY, M-PARTITION, best-of, local search, doing nothing, and an
+// (unrealistic) full LPT rebalance that ignores the migration budget. The
+// punchline the paper's introduction promises: a handful of moves per round
+// keeps the farm near-balanced at a tiny fraction of the migration traffic
+// of full rebalancing.
 
 #include <iostream>
 
-#include "algo/rebalancer.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 #include "util/table.h"
 
 int main() {
@@ -38,11 +39,17 @@ int main() {
 
   Table table({"policy", "mean imb", "p90 imb", "max imb", "total moves",
                "GB moved"});
-  for (const auto& policy : standard_rebalancers()) {
-    Simulator simulator(options, policy.run);
+  const auto policy_for = [](solver::BackendId backend) {
+    return [backend](const Instance& inst, std::int64_t k) {
+      return solver::solve_serial(backend, inst, k);
+    };
+  };
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.costed) continue;  // move budgets here, not byte budgets
+    Simulator simulator(options, policy_for(backend.id));
     const auto result = simulator.run();
     table.row()
-        .add(policy.name)
+        .add(backend.name)
         .add(result.imbalance.mean, 3)
         .add(result.imbalance.p90, 3)
         .add(result.imbalance.max, 3)
@@ -52,7 +59,7 @@ int main() {
   table.print(std::cout);
 
   // A short excerpt of the M-PARTITION time series around a flash crowd.
-  Simulator simulator(options, standard_rebalancers()[2].run);
+  Simulator simulator(options, policy_for(solver::BackendId::kMPartition));
   const auto result = simulator.run();
   std::size_t flash_step = 0;
   for (const auto& step : result.series) {

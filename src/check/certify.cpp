@@ -1,10 +1,12 @@
 #include "check/certify.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 
 #include "core/lower_bounds.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -164,46 +166,81 @@ SolutionCertificate certify_solution(const Instance& instance,
   return certificate;
 }
 
-CertifyOptions roster_certify_options(const std::string& algorithm,
-                                      const Instance& instance, std::int64_t k,
-                                      const RebalanceResult& result) {
+GuaranteeCheck guarantee_check(const solver::SolverSpec& spec,
+                               const Instance& instance, std::int64_t k,
+                               const RebalanceResult& result) {
   const auto m = static_cast<std::int64_t>(instance.num_procs);
   const auto n = static_cast<std::int64_t>(instance.num_jobs());
-  CertifyOptions options;
+  GuaranteeCheck check;
+  CertifyOptions& options = check.apriori;
   options.max_moves = k;
 
-  if (algorithm == "none") {
-    // The identity never moves and never changes the makespan.
-    options.max_moves = 0;
-    options.bound = RatioBound{1, 1, instance.initial_makespan(), 0,
-                               "initial makespan"};
-  } else if (algorithm == "greedy" || algorithm == "best-of") {
-    // Theorem 1's mechanism is a-priori checkable: after Step 1 the max load
-    // is the Lemma 1 bound (<= lb), and each Step 2 placement lands on a
-    // processor of load <= (W - s) / m, so every final load is at most
-    // lb + (1 - 1/m) * lb. best-of returns the better of greedy and
-    // m-partition, hence satisfies greedy's bound too.
-    if (m > 0) {
-      options.bound = RatioBound{2 * m - 1, m, combined_lower_bound(instance, k),
-                                 0, "combined_lower_bound"};
-    }
-  } else if (algorithm == "m-partition" || algorithm == "mp-ls") {
-    // Theorem 3's mechanism: PARTITION at the accepted threshold T (>= the
-    // scan's certified starting lower bound >= max job) leaves every load
-    // <= 1.5 * T. Local search only ever lowers the makespan.
-    if (result.threshold > 0) {
-      options.bound =
-          RatioBound{3, 2, result.threshold, 0, "accepted threshold"};
-    }
-  } else if (algorithm == "lpt-full") {
-    // Graham's bound for the unbounded-move reference schedule.
-    options.max_moves = kInfSize;
-    if (m > 0) {
-      options.bound = RatioBound{2 * m - 1, m, combined_lower_bound(instance, n),
-                                 0, "combined_lower_bound"};
-    }
+  switch (solver::descriptor(spec.backend).guarantee) {
+    case solver::Guarantee::kIdentity:
+      // The identity never moves and never changes the makespan.
+      options.max_moves = 0;
+      options.bound = RatioBound{1, 1, instance.initial_makespan(), 0,
+                                 "initial makespan"};
+      break;
+    case solver::Guarantee::kGreedy:
+      // Theorem 1's mechanism is a-priori checkable: after Step 1 the max
+      // load is the Lemma 1 bound (<= lb), and each Step 2 placement lands
+      // on a processor of load <= (W - s) / m, so every final load is at
+      // most lb + (1 - 1/m) * lb.
+      if (m > 0) {
+        options.bound = RatioBound{2 * m - 1, m,
+                                   combined_lower_bound(instance, k), 0,
+                                   "combined_lower_bound"};
+      }
+      check.num = 2 * m - 1;
+      check.den = m;
+      break;
+    case solver::Guarantee::kPartition:
+      // Theorem 3's mechanism: PARTITION at the accepted threshold T (>= the
+      // scan's certified starting lower bound >= max job) leaves every load
+      // <= 1.5 * T, and T <= OPT(k).
+      if (result.threshold > 0) {
+        options.bound =
+            RatioBound{3, 2, result.threshold, 0, "accepted threshold"};
+      }
+      check.num = 3;
+      check.den = 2;
+      check.threshold_at_most_opt = true;
+      break;
+    case solver::Guarantee::kLpt:
+      // Graham's bound for the unbounded-move schedule: a-priori 2 - 1/m
+      // against the lower bound, 4/3 - 1/(3m) against the optimum.
+      options.max_moves = kInfSize;
+      if (m > 0) {
+        options.bound = RatioBound{2 * m - 1, m,
+                                   combined_lower_bound(instance, n), 0,
+                                   "combined_lower_bound"};
+      }
+      check.optimum = OptimumKind::kUnbounded;
+      check.num = 4 * m - 1;
+      check.den = 3 * m;
+      break;
+    case solver::Guarantee::kPtas:
+      // (1 + eps) * OPT(B) plus one unit of discretization slack (the DP
+      // rounds small loads to multiples of u >= 1).
+      options.max_moves = kInfSize;
+      options.budget = spec.params.budget;
+      check.optimum = OptimumKind::kBudget;
+      check.num = std::llround((1.0 + spec.params.eps) * 1000.0);
+      check.den = 1000;
+      check.additive = 1;
+      break;
+    case solver::Guarantee::kCostPartition:
+      // 1.5 * (1 + eps) * (1 + alpha) at the CostPartitionOptions defaults
+      // eps = 0.05, alpha = 0.02: exactly 3213/2000.
+      options.max_moves = kInfSize;
+      options.budget = spec.params.budget;
+      check.optimum = OptimumKind::kBudget;
+      check.num = 3213;
+      check.den = 2000;
+      break;
   }
-  return options;
+  return check;
 }
 
 }  // namespace lrb

@@ -1,15 +1,15 @@
 // Machine-checkable correctness certificates for rebalancing solutions.
 //
-// Every algorithm in this library carries a provable guarantee (GREEDY is
-// (2 - 1/m)-approximate, M-PARTITION 1.5, the PTAS 1 + eps at cost <= B);
-// this module turns those theorems into an oracle: given an Instance and a
-// RebalanceResult, certify_solution recomputes every reported quantity from
-// scratch, checks the budgets, checks the solution against the certified
-// lower bounds of core/lower_bounds, and checks an optional a-priori
-// approximation bound - all in exact integer arithmetic - returning a
-// structured violation report instead of a bare bool. The fuzz driver
-// (tools/lrb_fuzz) and the differential harness (check/differential) are
-// built on top of it; docs/testing.md describes the contract.
+// Every registry backend declares a provable guarantee in its descriptor
+// (GREEDY is (2 - 1/m)-approximate, M-PARTITION 1.5, the PTAS 1 + eps at
+// cost <= B); this module turns those theorems into an oracle: given an
+// Instance and a RebalanceResult, certify_solution recomputes every
+// reported quantity from scratch, checks the budgets, checks the solution
+// against the certified lower bounds of core/lower_bounds, and checks an
+// optional a-priori approximation bound - all in exact integer arithmetic -
+// returning a structured violation report instead of a bare bool. The fuzz
+// driver (tools/lrb_fuzz) and the differential harness (check/differential)
+// are built on top of it; docs/testing.md describes the contract.
 
 #pragma once
 
@@ -20,6 +20,7 @@
 
 #include "core/assignment.h"
 #include "core/instance.h"
+#include "solver/spec.h"
 
 namespace lrb {
 
@@ -84,18 +85,34 @@ struct SolutionCertificate {
     const Instance& instance, const RebalanceResult& result,
     const CertifyOptions& options = {});
 
-/// The a-priori certificate each standard roster algorithm must satisfy on
-/// EVERY instance (no exact optimum needed):
-///   "none"        moves = 0, makespan = initial makespan
-///   "greedy"      moves <= k, m * makespan <= (2m - 1) * combined_lb(k)
-///   "m-partition" moves <= k, 2 * makespan <= 3 * accepted threshold
-///   "mp-ls"       same as m-partition (local search only improves)
-///   "best-of"     moves <= k, greedy's bound (it returns the better of the
-///                 two, so it is no worse than greedy)
-///   "lpt-full"    moves unbounded, m * makespan <= (2m - 1) * combined_lb(n)
-/// Unknown names get the universal checks only (budgets + lower bound).
-[[nodiscard]] CertifyOptions roster_certify_options(
-    const std::string& algorithm, const Instance& instance, std::int64_t k,
-    const RebalanceResult& result);
+/// Which exact optimum a backend's proven ratio is stated against.
+enum class OptimumKind {
+  kMoves,      ///< OPT(k): at most k jobs move
+  kUnbounded,  ///< every job may move (LPT ignores k)
+  kBudget,     ///< OPT(B): relocation cost at most B
+};
+
+/// A backend's guarantee as checkable data: the a-priori certificate it
+/// must pass on EVERY instance (no exact optimum needed), and its proven
+/// ratio against the exact optimum of its own problem, which
+/// check/differential applies when it can certify that optimum.
+struct GuaranteeCheck {
+  CertifyOptions apriori;
+  OptimumKind optimum = OptimumKind::kMoves;
+  /// den * makespan <= num * OPT + den * additive; num == 0 means the
+  /// guarantee only promises never to beat OPT.
+  std::int64_t num = 0;
+  std::int64_t den = 1;
+  Size additive = 0;
+  bool threshold_at_most_opt = false;  ///< Thm 3: accepted threshold <= OPT
+};
+
+/// The guarantee `spec`'s descriptor declares, instantiated for this
+/// instance, move budget k, the spec's params and the result. The table in
+/// docs/testing.md lists every kind's certificate.
+[[nodiscard]] GuaranteeCheck guarantee_check(const solver::SolverSpec& spec,
+                                             const Instance& instance,
+                                             std::int64_t k,
+                                             const RebalanceResult& result);
 
 }  // namespace lrb

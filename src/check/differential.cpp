@@ -1,19 +1,17 @@
 #include "check/differential.h"
 
-#include <cmath>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "algo/cost_greedy.h"
-#include "algo/cost_partition.h"
 #include "algo/exact.h"
-#include "algo/local_search.h"
 #include "algo/move_min.h"
-#include "algo/ptas.h"
 #include "algo/two_proc_exact.h"
 #include "algo/unit_exact.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -104,38 +102,30 @@ DifferentialReport differential_check(const Instance& instance,
   const std::int64_t k = options.k;
   const bool small = instance.num_jobs() <= options.exact_max_jobs;
 
-  // ---- the unit-cost roster (+ mp-ls), each against its a-priori contract.
-  for (const auto& algo : standard_rebalancers()) {
+  // Findings that claim a backend's guarantee, with the check it implies;
+  // the ratio pass at the end applies them once the optima are known.
+  std::vector<std::pair<std::size_t, GuaranteeCheck>> claims;
+  const auto run_claimed = [&](std::string name,
+                               const solver::SolverSpec& spec,
+                               RebalanceResult result) {
     AlgorithmFinding finding;
-    finding.algorithm = algo.name;
-    finding.result = algo.run(instance, k);
-    finding.certificate = certify_solution(
-        instance, finding.result,
-        roster_certify_options(algo.name, instance, k, finding.result));
+    finding.algorithm = std::move(name);
+    finding.result = std::move(result);
+    GuaranteeCheck check = guarantee_check(spec, instance, k, finding.result);
+    finding.certificate =
+        certify_solution(instance, finding.result, check.apriori);
+    claims.emplace_back(report.findings.size(), std::move(check));
     report.findings.push_back(std::move(finding));
-  }
-  {
-    AlgorithmFinding finding;
-    finding.algorithm = "mp-ls";
-    finding.result = m_partition_ls_rebalance(instance, k);
-    finding.certificate = certify_solution(
-        instance, finding.result,
-        roster_certify_options("mp-ls", instance, k, finding.result));
-    report.findings.push_back(std::move(finding));
+  };
+
+  // ---- every backend without a cost budget, plus the extras.
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.costed) continue;
+    run_claimed(backend.name, backend.id,
+                solver::solve_serial(backend.id, instance, k));
   }
   for (const auto& extra : options.extra) {
-    AlgorithmFinding finding;
-    finding.algorithm = extra.rebalancer.name;
-    finding.result = extra.rebalancer.run(instance, k);
-    CertifyOptions certify_options;
-    if (extra.options) {
-      certify_options = extra.options(instance, k, finding.result);
-    } else {
-      certify_options.max_moves = k;
-    }
-    finding.certificate =
-        certify_solution(instance, finding.result, certify_options);
-    report.findings.push_back(std::move(finding));
+    run_claimed(extra.name, extra.claims, extra.run(instance, k));
   }
 
   // ---- certified k-move optimum: branch-and-bound, or a known-OPT family.
@@ -230,61 +220,13 @@ DifferentialReport differential_check(const Instance& instance,
     have_opt = true;
   }
 
-  // ---- proven ratios against the certified optimum.
-  if (have_opt) {
-    for (auto& finding : report.findings) {
-      if (finding.algorithm == "exact" || finding.algorithm == "instance") {
-        continue;
-      }
-      if (finding.algorithm == "lpt-full") continue;  // unbounded moves
-      check_not_below_opt(finding, opt, "k-move problem");
-      if (finding.algorithm == "greedy" || finding.algorithm == "best-of") {
-        check_ratio_vs_opt(finding, 2 * m - 1, m, opt);
-      } else if (finding.algorithm == "m-partition" ||
-                 finding.algorithm == "mp-ls") {
-        check_ratio_vs_opt(finding, 3, 2, opt);
-        if (finding.result.threshold > opt) {
-          std::ostringstream oss;
-          oss << "accepted threshold " << finding.result.threshold
-              << " exceeds OPT = " << opt;
-          add_violation(finding, ViolationKind::kRatioVsExact, oss.str());
-        }
-      }
-    }
-    // Graham's LPT bound needs the UNBOUNDED optimum, which the k-move
-    // optimum only upper-bounds from above; prove it separately.
-    if (small) {
-      ExactOptions unbounded;
-      unbounded.max_moves = n;
-      unbounded.node_limit = options.exact_node_limit;
-      const auto exact_full = exact_rebalance(instance, unbounded);
-      if (exact_full.proven_optimal) {
-        for (auto& finding : report.findings) {
-          if (finding.algorithm != "lpt-full") continue;
-          check_not_below_opt(finding, exact_full.best.makespan,
-                              "unbounded-move problem");
-          check_ratio_vs_opt(finding, 4 * m - 1, 3 * m,
-                             exact_full.best.makespan);
-        }
-      }
-    }
-  }
-
   // ---- the budgeted (arbitrary-cost) algorithms.
+  Size opt_budget = 0;
+  bool have_opt_budget = false;
   if (options.run_cost_algorithms && options.budget != kInfCost) {
     const Cost budget = options.budget;
     CertifyOptions budget_certify;
     budget_certify.budget = budget;
-
-    auto run_budget_algo = [&](std::string name, RebalanceResult result) {
-      AlgorithmFinding finding;
-      finding.algorithm = std::move(name);
-      finding.result = std::move(result);
-      finding.certificate =
-          certify_solution(instance, finding.result, budget_certify);
-      report.findings.push_back(std::move(finding));
-      return report.findings.size() - 1;
-    };
 
     {
       CertifyOptions greedy_certify = budget_certify;
@@ -299,58 +241,86 @@ DifferentialReport differential_check(const Instance& instance,
       report.findings.push_back(std::move(finding));
     }
 
-    CostPartitionOptions cp;
-    cp.budget = budget;
-    const auto cp_index =
-        run_budget_algo("cost-partition", cost_partition_rebalance(instance, cp));
+    const solver::SolverSpec cost_partition(solver::BackendId::kCostPartition,
+                                            {.budget = budget});
+    run_claimed("cost-partition", cost_partition,
+                solver::solve_serial(cost_partition, instance, k));
     // The LP-based baseline and the PTAS are exponential-ish in practice on
     // large or huge-size instances; exercise them on the small tier only
     // (which is also where their ratio checks have an exact optimum).
-    std::size_t st_index = 0;
-    bool st_ran = false;
-    std::size_t ptas_index = 0;
-    bool ptas_ran = false;
     if (small) {
-      st_index = run_budget_algo("shmoys-tardos", st_rebalance(instance, budget));
-      st_ran = true;
-      PtasOptions ptas_options;
-      ptas_options.budget = budget;
-      ptas_options.eps = options.ptas_eps;
-      const auto ptas = ptas_rebalance(instance, ptas_options);
-      if (ptas.success) {
-        ptas_index = run_budget_algo("ptas", ptas.result);
-        ptas_ran = true;
-      }
-    }
+      AlgorithmFinding st;
+      st.algorithm = "shmoys-tardos";
+      st.result = st_rebalance(instance, budget);
+      st.certificate = certify_solution(instance, st.result, budget_certify);
+      const std::size_t st_index = report.findings.size();
+      report.findings.push_back(std::move(st));
 
-    if (small) {
+      const solver::SolverSpec ptas(
+          solver::BackendId::kPtas,
+          {.budget = budget, .eps = options.ptas_eps});
+      bool gave_up = false;
+      auto ptas_result =
+          solver::solve(ptas, instance, k, {.gave_up = &gave_up});
+      if (!gave_up) run_claimed("ptas", ptas, std::move(ptas_result));
+
       ExactOptions exact_options;
       exact_options.budget = budget;
       exact_options.node_limit = options.exact_node_limit;
       const auto exact_budget = exact_rebalance(instance, exact_options);
       if (exact_budget.proven_optimal) {
-        const Size opt_budget = exact_budget.best.makespan;
-        check_not_below_opt(report.findings[cp_index], opt_budget,
+        opt_budget = exact_budget.best.makespan;
+        have_opt_budget = true;
+        check_not_below_opt(report.findings[st_index], opt_budget,
                             "budget problem");
-        // 1.5 * (1 + eps) * (1 + alpha) at the defaults eps = 0.05,
-        // alpha = 0.02: exactly 3213/2000.
-        check_ratio_vs_opt(report.findings[cp_index], 3213, 2000, opt_budget);
-        if (st_ran) {
-          check_not_below_opt(report.findings[st_index], opt_budget,
-                              "budget problem");
-          check_ratio_vs_opt(report.findings[st_index], 2, 1, opt_budget);
-        }
-        if (ptas_ran) {
-          check_not_below_opt(report.findings[ptas_index], opt_budget,
-                              "budget problem");
-          // (1 + eps) * OPT plus one unit of discretization slack (the DP
-          // rounds small loads to multiples of u >= 1).
-          const auto num = static_cast<std::int64_t>(
-              std::llround((1.0 + options.ptas_eps) * 1000.0));
-          check_ratio_vs_opt(report.findings[ptas_index], num, 1000,
-                             opt_budget, 1);
-        }
+        check_ratio_vs_opt(report.findings[st_index], 2, 1, opt_budget);
       }
+    }
+  }
+
+  // ---- each claimed guarantee against its certified optimum. LPT's
+  // Graham bound needs the UNBOUNDED optimum, which the k-move optimum only
+  // bounds from above (LPT can legitimately beat OPT(k)); prove it
+  // separately.
+  std::optional<Size> opt_unbounded;
+  if (have_opt && small) {
+    ExactOptions unbounded;
+    unbounded.max_moves = n;
+    unbounded.node_limit = options.exact_node_limit;
+    const auto exact_full = exact_rebalance(instance, unbounded);
+    if (exact_full.proven_optimal) opt_unbounded = exact_full.best.makespan;
+  }
+  for (const auto& [index, check] : claims) {
+    AlgorithmFinding& finding = report.findings[index];
+    Size reference = 0;
+    const char* regime = "";
+    switch (check.optimum) {
+      case OptimumKind::kMoves:
+        if (!have_opt) continue;
+        reference = opt;
+        regime = "k-move problem";
+        break;
+      case OptimumKind::kUnbounded:
+        if (!opt_unbounded) continue;
+        reference = *opt_unbounded;
+        regime = "unbounded-move problem";
+        break;
+      case OptimumKind::kBudget:
+        if (!have_opt_budget) continue;
+        reference = opt_budget;
+        regime = "budget problem";
+        break;
+    }
+    check_not_below_opt(finding, reference, regime);
+    if (check.num != 0) {
+      check_ratio_vs_opt(finding, check.num, check.den, reference,
+                         check.additive);
+    }
+    if (check.threshold_at_most_opt && finding.result.threshold > reference) {
+      std::ostringstream oss;
+      oss << "accepted threshold " << finding.result.threshold
+          << " exceeds OPT = " << reference;
+      add_violation(finding, ViolationKind::kRatioVsExact, oss.str());
     }
   }
 

@@ -1,9 +1,10 @@
-// Differential testing harness: run the whole algorithm roster on one
-// instance, certify every result (check/certify), and - on instances small
-// enough for the exact solvers - cross-check the approximation ratios and
-// the exact solvers against each other:
+// Differential testing harness: run every registry backend without a cost
+// budget on one instance, certify every result against the guarantee its
+// descriptor declares (check/certify), and - on instances small enough for
+// the exact solvers - cross-check the approximation ratios and the exact
+// solvers against each other:
 //
-//   * every roster algorithm passes its a-priori certificate;
+//   * every backend passes its a-priori certificate;
 //   * nothing beats the branch-and-bound optimum (or its proven ratio
 //     against it): GREEDY within (2 - 1/m), M-PARTITION within 1.5 with an
 //     accepted threshold <= OPT, the PTAS within (1 + eps) at cost <= B,
@@ -22,24 +23,22 @@
 #include <string>
 #include <vector>
 
-#include "algo/rebalancer.h"
 #include "check/certify.h"
 #include "core/instance.h"
+#include "solver/spec.h"
 
 namespace lrb {
 
 /// An extra algorithm to include in the differential run (e.g. a test-only
-/// mutant). `options` derives its certificate; when null the universal
-/// checks (budgets + lower bound) are applied.
+/// mutant), held to the guarantee of the backend it claims to implement.
 struct CheckedRebalancer {
-  NamedRebalancer rebalancer;
-  std::function<CertifyOptions(const Instance&, std::int64_t k,
-                               const RebalanceResult&)>
-      options;
+  std::string name;
+  std::function<RebalanceResult(const Instance&, std::int64_t k)> run;
+  solver::BackendId claims = solver::BackendId::kGreedy;
 };
 
 struct DifferentialOptions {
-  std::int64_t k = 4;       ///< move budget for the unit-cost roster
+  std::int64_t k = 4;       ///< move budget for the unit-cost backends
   Cost budget = kInfCost;   ///< budget for the cost algorithms; kInfCost
                             ///< skips them entirely
   /// Known optimal makespan under k (e.g. from a tight family); 0 = unknown.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "algo/cost_partition.h"
 #include "algo/greedy.h"
 #include "algo/local_search.h"
 #include "algo/lpt.h"
@@ -14,19 +15,6 @@
 
 namespace lrb::solver {
 namespace {
-
-/// Uniform parameter bounds every current backend shares. Kept as the
-/// per-descriptor hook's default target so a future backend can install a
-/// tighter validator without touching any consumer.
-std::optional<std::string> validate_bounds(const SolverParams& params) {
-  if (!(std::isfinite(params.eps) && params.eps > 0.0)) {
-    return "solver eps must be finite and > 0";
-  }
-  if (params.budget < 0) {
-    return "solver budget must be >= 0";
-  }
-  return std::nullopt;
-}
 
 /// M-PARTITION under a context: the three entry points are bit-identical
 /// (m_partition.h), so this only picks the cheapest one available.
@@ -40,12 +28,6 @@ RebalanceResult solve_m_partition(const Instance& instance, std::int64_t k,
     return m_partition_rebalance(instance, k, *ctx.m_partition);
   }
   return m_partition_rebalance(instance, k);
-}
-
-template <BackendId kId>
-RebalanceResult serial_entry(const Instance& instance, std::int64_t k,
-                             const SolverParams& params) {
-  return solve(SolverSpec(kId, params), instance, k, SolveContext{});
 }
 
 constexpr std::string_view kMPartitionAliases[] = {"mpartition"};
@@ -62,10 +44,8 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .costed = false,
         .budgeted = false,
         .uses_eps = false,
-        .scratch_reusing = false,
         .respects_k = true,
-        .validate = &validate_bounds,
-        .serial = &serial_entry<BackendId::kGreedy>,
+        .guarantee = Guarantee::kGreedy,
     },
     {
         .id = BackendId::kMPartition,
@@ -75,12 +55,12 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .costed = false,
         .budgeted = false,
         .uses_eps = false,
-        .scratch_reusing = true,
         .respects_k = true,
-        .validate = &validate_bounds,
-        .serial = &serial_entry<BackendId::kMPartition>,
+        .guarantee = Guarantee::kPartition,
     },
     {
+        // Returns the better of GREEDY and M-PARTITION, so it is no worse
+        // than GREEDY's bound.
         .id = BackendId::kBestOf,
         .wire_id = 2,
         .name = "best-of",
@@ -88,10 +68,8 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .costed = false,
         .budgeted = false,
         .uses_eps = false,
-        .scratch_reusing = true,
         .respects_k = true,
-        .validate = &validate_bounds,
-        .serial = &serial_entry<BackendId::kBestOf>,
+        .guarantee = Guarantee::kGreedy,
     },
     {
         .id = BackendId::kPtas,
@@ -101,10 +79,8 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .costed = true,
         .budgeted = true,
         .uses_eps = true,
-        .scratch_reusing = true,
         .respects_k = false,
-        .validate = &validate_bounds,
-        .serial = &serial_entry<BackendId::kPtas>,
+        .guarantee = Guarantee::kPtas,
     },
     {
         .id = BackendId::kLpt,
@@ -114,12 +90,11 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .costed = false,
         .budgeted = false,
         .uses_eps = false,
-        .scratch_reusing = false,
         .respects_k = false,
-        .validate = &validate_bounds,
-        .serial = &serial_entry<BackendId::kLpt>,
+        .guarantee = Guarantee::kLpt,
     },
     {
+        // Local search only ever lowers M-PARTITION's makespan.
         .id = BackendId::kLocalSearch,
         .wire_id = 5,
         .name = "local-search",
@@ -127,10 +102,32 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .costed = false,
         .budgeted = false,
         .uses_eps = false,
-        .scratch_reusing = true,
         .respects_k = true,
-        .validate = &validate_bounds,
-        .serial = &serial_entry<BackendId::kLocalSearch>,
+        .guarantee = Guarantee::kPartition,
+    },
+    {
+        .id = BackendId::kNone,
+        .wire_id = 6,
+        .name = "none",
+        .aliases = {},
+        .costed = false,
+        .budgeted = false,
+        .uses_eps = false,
+        .respects_k = true,
+        .guarantee = Guarantee::kIdentity,
+    },
+    {
+        // The knapsack eps and guess step alpha stay at the
+        // CostPartitionOptions defaults; the guarantee assumes them.
+        .id = BackendId::kCostPartition,
+        .wire_id = 7,
+        .name = "cost-partition",
+        .aliases = {},
+        .costed = true,
+        .budgeted = true,
+        .uses_eps = false,
+        .respects_k = false,
+        .guarantee = Guarantee::kCostPartition,
     },
 };
 
@@ -190,7 +187,13 @@ bool is_valid_wire_id(std::uint8_t wire_id) {
 }
 
 std::optional<std::string> validate_spec(const SolverSpec& spec) {
-  return descriptor(spec.backend).validate(spec.params);
+  if (!(std::isfinite(spec.params.eps) && spec.params.eps > 0.0)) {
+    return "solver eps must be finite and > 0";
+  }
+  if (spec.params.budget < 0) {
+    return "solver budget must be >= 0";
+  }
+  return std::nullopt;
 }
 
 SolverParams normalized_params(const SolverSpec& spec) {
@@ -219,7 +222,7 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
     case BackendId::kMPartition:
       return solve_m_partition(instance, k, ctx);
     case BackendId::kBestOf: {
-      // Same tie-break as best_of_rebalance: PARTITION wins ties.
+      // PARTITION wins ties.
       auto greedy = greedy_rebalance(instance, k);
       auto partition = solve_m_partition(instance, k, ctx);
       return partition.makespan <= greedy.makespan ? std::move(partition)
@@ -229,19 +232,20 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
       PtasOptions options;
       options.budget = spec.params.budget;
       options.eps = spec.params.eps;
+      PtasResult ptas;
       if (ctx.pool != nullptr && ctx.pool->size() > 1 &&
           instance.num_jobs() >= ctx.intra_parallel_min_jobs) {
-        if (ctx.ptas_wave != nullptr) {
-          return ptas_rebalance_parallel(instance, options, *ctx.pool,
-                                         *ctx.ptas_wave)
-              .result;
-        }
-        return ptas_rebalance_parallel(instance, options, *ctx.pool).result;
+        ptas = ctx.ptas_wave != nullptr
+                   ? ptas_rebalance_parallel(instance, options, *ctx.pool,
+                                             *ctx.ptas_wave)
+                   : ptas_rebalance_parallel(instance, options, *ctx.pool);
+      } else if (ctx.ptas != nullptr) {
+        ptas = ptas_rebalance(instance, options, *ctx.ptas);
+      } else {
+        ptas = ptas_rebalance(instance, options);
       }
-      if (ctx.ptas != nullptr) {
-        return ptas_rebalance(instance, options, *ctx.ptas).result;
-      }
-      return ptas_rebalance(instance, options).result;
+      if (ctx.gave_up != nullptr) *ctx.gave_up = !ptas.success;
+      return std::move(ptas.result);
     }
     case BackendId::kLpt:
       // Full reassignment: LPT ignores both the initial placement and k.
@@ -253,6 +257,13 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
       LocalSearchOptions options;
       options.max_moves = k;
       return local_search_improve(instance, base, options);
+    }
+    case BackendId::kNone:
+      return no_move_result(instance);
+    case BackendId::kCostPartition: {
+      CostPartitionOptions options;
+      options.budget = spec.params.budget;
+      return cost_partition_rebalance(instance, options);
     }
   }
   assert(false && "unregistered backend");

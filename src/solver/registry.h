@@ -1,11 +1,12 @@
 // The solver backend registry: one descriptor per registered backend
-// (canonical name + aliases, stable wire id, parameter validation,
-// cache-key parameter encoding, serial-reference entry point, capability
-// flags) and the ONE dispatch switch in the codebase (registry.cpp's
-// solve()). Every layer — engine, cache, wire codecs, streaming triggers,
-// chaos, tools — resolves backends and dispatches solves through this seam
-// instead of switching on an enum locally. docs/solvers.md describes the
-// design, the wire-id stability policy, and how to add a backend.
+// (canonical name + aliases, stable wire id, capability flags, the paper's
+// guarantee) and the ONE dispatch switch in the codebase (registry.cpp's
+// solve()). It is also the only algorithm roster: every layer — engine,
+// cache, wire codecs, streaming triggers, chaos, the certifier, the
+// differential harness, tools, benches — resolves backends and dispatches
+// solves through this seam instead of keeping its own name table.
+// docs/solvers.md describes the design, the wire-id stability policy, and
+// how to add a backend.
 
 #pragma once
 
@@ -28,6 +29,18 @@ struct PtasScratch;
 
 namespace lrb::solver {
 
+/// The theorem a backend's results are certified against. check/certify
+/// turns each kind into a certificate (docs/testing.md); backends that
+/// share a proof share a kind.
+enum class Guarantee : std::uint8_t {
+  kIdentity,       ///< 0 moves, makespan = initial makespan
+  kGreedy,         ///< Thm 1: (2 - 1/m) * OPT(k)
+  kPartition,      ///< Thm 3: 1.5 * accepted threshold <= 1.5 * OPT(k)
+  kLpt,            ///< Graham: (4/3 - 1/(3m)) * OPT with unbounded moves
+  kPtas,           ///< §4: cost <= B, (1 + eps) * OPT(B) + 1
+  kCostPartition,  ///< §3.2: cost <= B, 1.5 (1 + eps)(1 + alpha) * OPT(B)
+};
+
 /// Everything a layer needs to know about a backend without naming it in a
 /// switch. One static table entry per BackendId (registry.cpp); lookups by
 /// id, name/alias, or wire id all land on the same descriptor.
@@ -46,17 +59,10 @@ struct BackendDescriptor {
   bool costed = false;     ///< consumes per-job relocation costs
   bool budgeted = false;   ///< honors SolverParams::budget
   bool uses_eps = false;   ///< honors SolverParams::eps
-  bool scratch_reusing = false;  ///< benefits from engine scratch arenas
   bool respects_k = true;  ///< honors the k-move bound (LPT reassigns all)
 
-  /// Rejects out-of-bounds parameters; nullopt = valid. All current
-  /// backends share the uniform bounds of validate_spec(), but the hook is
-  /// per-backend so a future backend can tighten them in its own entry.
-  std::optional<std::string> (*validate)(const SolverParams&) = nullptr;
-  /// The serial reference entry point: no pool, no arenas. Forwards into
-  /// the single dispatch switch with an empty context.
-  RebalanceResult (*serial)(const Instance&, std::int64_t k,
-                            const SolverParams&) = nullptr;
+  /// What its results are certified against (check/certify).
+  Guarantee guarantee = Guarantee::kGreedy;
 };
 
 /// All registered backends, in BackendId order.
@@ -82,11 +88,10 @@ struct BackendDescriptor {
     std::uint8_t wire_id);
 [[nodiscard]] bool is_valid_wire_id(std::uint8_t wire_id);
 
-/// Validates spec.params against its backend's bounds (budget >= 0, eps
+/// Validates spec.params against the uniform bounds (budget >= 0, eps
 /// finite and > 0); nullopt = valid. Streaming triggers and tools reject
-/// invalid specs up front; the v1 Solve decode path stays permissive for
-/// compatibility (out-of-range knobs there are simply ignored by backends
-/// that do not consume them).
+/// invalid specs up front; the v1 Solve decode path validates only the
+/// normalized params, so out-of-range knobs a backend ignores stay legal.
 [[nodiscard]] std::optional<std::string> validate_spec(const SolverSpec& spec);
 
 /// Folds parameters the backend declares it ignores to their defaults.
@@ -113,6 +118,10 @@ struct SolveContext {
   MPartitionScratch* m_partition = nullptr;
   PtasScratch* ptas = nullptr;
   std::vector<PtasScratch>* ptas_wave = nullptr;
+  /// When non-null, set to whether the backend gave up and returned its
+  /// identity fallback (the PTAS past its state limit). Backends that never
+  /// give up leave it untouched.
+  bool* gave_up = nullptr;
 };
 
 /// THE dispatch switch (the only one in the codebase): runs `spec` on

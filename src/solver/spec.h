@@ -25,9 +25,11 @@ enum class BackendId : std::uint8_t {
   kPtas = 3,         ///< paper §4 costed PTAS (budget + eps)
   kLpt = 4,          ///< LPT from scratch (4/3 - 1/(3m); ignores k)
   kLocalSearch = 5,  ///< M-PARTITION + peak-lowering local search under k
+  kNone = 6,         ///< identity: moves nothing (the do-nothing baseline)
+  kCostPartition = 7,  ///< paper §3.2 cost-PARTITION (relocation budget B)
 };
 
-inline constexpr std::size_t kNumBackends = 6;
+inline constexpr std::size_t kNumBackends = 8;
 
 /// The bounded parameter bag. Every backend sees the same bag; descriptors
 /// declare which knobs are consumed (capability flags `budgeted` /

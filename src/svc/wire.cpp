@@ -168,6 +168,13 @@ std::optional<SolveRequest> decode_solve_request(std::string_view payload,
   const solver::BackendDescriptor* backend = solver::backend_by_wire_id(algo);
   if (backend == nullptr) return fail("unknown algo id");
   request.spec.backend = backend->id;
+  // Only the knobs the backend consumes are checked: the PTAS and
+  // cost-PARTITION assert on out-of-range ones, while v1 clients may send
+  // anything in the knobs a backend ignores.
+  if (const auto problem = solver::validate_spec(
+          {backend->id, solver::normalized_params(request.spec)})) {
+    return fail(problem->c_str());
+  }
   // The remaining payload must hold exactly num_jobs records; checking up
   // front turns a lying count into one error instead of 3n reader checks.
   if (payload.size() != 40 + std::size_t{num_jobs} * 20) {

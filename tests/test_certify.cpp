@@ -1,7 +1,7 @@
 // Tests for the correctness-certificate subsystem (check/): the solution
 // certifier, the differential harness, and the delta-debugging shrinker.
 //
-// The sweep tests run every roster algorithm over seeded random instances
+// The sweep tests run every registry backend over seeded random instances
 // drawn from EVERY generator family (all size distributions x placement
 // policies x cost models) and require a clean certificate each time - the
 // same oracle tools/lrb_fuzz drives, so a regression here reproduces
@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "algo/greedy.h"
-#include "algo/rebalancer.h"
 #include "check/certify.h"
 #include "check/differential.h"
 #include "check/shrink.h"
 #include "core/generators.h"
 #include "core/lower_bounds.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -40,17 +40,20 @@ GeneratorOptions family_options(std::uint64_t index) {
 }
 
 TEST(Certify, RosterPassesOnRandomInstancesAcrossAllFamilies) {
-  const auto roster = standard_rebalancers();
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     const auto opt = family_options(trial);
     const auto inst = random_instance(opt, /*seed=*/1000 + trial);
     const auto k = static_cast<std::int64_t>(trial % (inst.num_jobs() + 2));
-    for (const auto& algo : roster) {
-      const auto result = algo.run(inst, k);
+    for (const auto& backend : solver::all_backends()) {
+      // The PTAS DP is exponential in 1/eps; test_solver certifies it on a
+      // small instance.
+      if (backend.id == solver::BackendId::kPtas) continue;
+      const solver::SolverSpec spec(backend.id, {.budget = k});
+      const auto result = solver::solve_serial(spec, inst, k);
       const auto certificate = certify_solution(
-          inst, result, roster_certify_options(algo.name, inst, k, result));
+          inst, result, guarantee_check(spec, inst, k, result).apriori);
       EXPECT_TRUE(certificate.ok())
-          << "trial " << trial << " algorithm " << algo.name << "\n"
+          << "trial " << trial << " algorithm " << backend.name << "\n"
           << certificate.to_string();
     }
   }
@@ -229,11 +232,8 @@ TEST(Differential, CatchesTheBrokenRebalancerAndShrinksToTinyRepro) {
     DifferentialOptions options;
     options.k = 4;
     options.run_cost_algorithms = false;
-    options.extra.push_back(CheckedRebalancer{
-        NamedRebalancer{"broken-greedy", broken_greedy},
-        [](const Instance& i, std::int64_t k, const RebalanceResult& r) {
-          return roster_certify_options("greedy", i, k, r);
-        }});
+    options.extra.push_back(
+        {"broken-greedy", broken_greedy, solver::BackendId::kGreedy});
     const auto report = differential_check(inst, options);
     if (report.ok()) continue;
     caught = true;

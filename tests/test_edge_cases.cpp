@@ -16,7 +16,6 @@
 #include "algo/m_partition.h"
 #include "algo/move_min.h"
 #include "algo/partition.h"
-#include "algo/rebalancer.h"
 #include "algo/thresholds.h"
 #include "algo/unit_exact.h"
 #include "core/analysis.h"
@@ -24,6 +23,7 @@
 #include "core/io.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -36,10 +36,10 @@ Instance empty_instance(ProcId m) {
 
 TEST(EdgeCases, EmptyInstanceEverywhere) {
   const auto inst = empty_instance(3);
-  for (const auto& algo : standard_rebalancers()) {
-    const auto r = algo.run(inst, 4);
-    EXPECT_EQ(r.makespan, 0) << algo.name;
-    EXPECT_EQ(r.moves, 0) << algo.name;
+  for (const auto& backend : solver::all_backends()) {
+    const auto r = solver::solve_serial(backend.id, inst, 4);
+    EXPECT_EQ(r.makespan, 0) << backend.name;
+    EXPECT_EQ(r.moves, 0) << backend.name;
   }
   EXPECT_EQ(combined_lower_bound(inst, 2), 0);
   EXPECT_EQ(candidate_thresholds(inst), (std::vector<Size>{0}));
@@ -51,9 +51,9 @@ TEST(EdgeCases, EmptyInstanceEverywhere) {
 
 TEST(EdgeCases, SingleJob) {
   const auto inst = make_instance({42}, {0}, 4);
-  for (const auto& algo : standard_rebalancers()) {
-    const auto r = algo.run(inst, 2);
-    EXPECT_EQ(r.makespan, 42) << algo.name;  // indivisible: nothing to gain
+  for (const auto& backend : solver::all_backends()) {
+    const auto r = solver::solve_serial(backend.id, inst, 2);
+    EXPECT_EQ(r.makespan, 42) << backend.name;  // indivisible: nothing to gain
   }
   EXPECT_EQ(max_job_bound(inst), 42);
   const auto outcome = partition_rebalance_at(inst, 42);
@@ -63,8 +63,9 @@ TEST(EdgeCases, SingleJob) {
 
 TEST(EdgeCases, SingleProcessorAllAlgorithms) {
   const auto inst = make_instance({5, 7, 3}, {0, 0, 0}, 1);
-  for (const auto& algo : standard_rebalancers()) {
-    EXPECT_EQ(algo.run(inst, 3).makespan, 15) << algo.name;
+  for (const auto& backend : solver::all_backends()) {
+    EXPECT_EQ(solver::solve_serial(backend.id, inst, 3).makespan, 15)
+        << backend.name;
   }
   CostPartitionOptions cp;
   cp.budget = 100;
@@ -88,10 +89,10 @@ TEST(EdgeCases, AllJobsIdenticalSizes) {
 
 TEST(EdgeCases, ZeroSizeJobsAreHarmless) {
   const auto inst = make_instance({0, 5, 0, 3, 0}, {0, 0, 1, 1, 2}, 3);
-  for (const auto& algo : standard_rebalancers()) {
-    const auto r = algo.run(inst, 2);
-    EXPECT_FALSE(validate(inst, r.assignment).has_value()) << algo.name;
-    EXPECT_GE(r.makespan, 5) << algo.name;
+  for (const auto& backend : solver::all_backends()) {
+    const auto r = solver::solve_serial(backend.id, inst, 2);
+    EXPECT_FALSE(validate(inst, r.assignment).has_value()) << backend.name;
+    EXPECT_GE(r.makespan, 5) << backend.name;
   }
   EXPECT_EQ(move_min_lower_bound(inst, 5), 0);
   const auto greedy = move_min_greedy(inst, 5);

@@ -15,7 +15,6 @@
 #include "algo/greedy.h"
 #include "algo/m_partition.h"
 #include "algo/ptas.h"
-#include "algo/rebalancer.h"
 #include "core/assignment.h"
 #include "core/generators.h"
 #include "core/instance.h"
@@ -129,8 +128,13 @@ RebalanceResult serial_reference(BackendId backend, const Instance& instance,
       return greedy_rebalance(instance, k);
     case BackendId::kMPartition:
       return m_partition_rebalance(instance, k);
-    case BackendId::kBestOf:
-      return best_of_rebalance(instance, k);
+    case BackendId::kBestOf: {
+      auto greedy = greedy_rebalance(instance, k);
+      auto partition = m_partition_rebalance(instance, k);
+      // PARTITION wins ties.
+      return partition.makespan <= greedy.makespan ? std::move(partition)
+                                                   : std::move(greedy);
+    }
     default:
       break;
   }

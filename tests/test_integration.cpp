@@ -11,7 +11,6 @@
 #include "algo/greedy.h"
 #include "algo/local_search.h"
 #include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "core/analysis.h"
 #include "core/generators.h"
 #include "core/io.h"
@@ -21,6 +20,7 @@
 #include "ext/threedm.h"
 #include "lp/gap.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -37,20 +37,22 @@ TEST(Integration, GenerateSerializeSolveEvaluate) {
   const auto parsed = instance_from_string(instance_to_string(original));
   ASSERT_TRUE(parsed.has_value());
 
-  for (const auto& algo : standard_rebalancers()) {
-    const auto result = algo.run(*parsed, 12);
-    ASSERT_FALSE(validate(*parsed, result.assignment).has_value()) << algo.name;
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.costed) continue;  // no cost budget in this pipeline
+    const auto result = solver::solve_serial(backend.id, *parsed, 12);
+    ASSERT_FALSE(validate(*parsed, result.assignment).has_value())
+        << backend.name;
 
     std::ostringstream oss;
     write_assignment(oss, result.assignment);
     std::istringstream iss(oss.str());
     const auto replayed = read_assignment(iss);
-    ASSERT_TRUE(replayed.has_value()) << algo.name;
-    EXPECT_EQ(*replayed, result.assignment) << algo.name;
+    ASSERT_TRUE(replayed.has_value()) << backend.name;
+    EXPECT_EQ(*replayed, result.assignment) << backend.name;
 
     // The analysis agrees with the result's own accounting.
     const auto report = analyze(*parsed, *replayed);
-    EXPECT_EQ(report.makespan, result.makespan) << algo.name;
+    EXPECT_EQ(report.makespan, result.makespan) << backend.name;
   }
 }
 
@@ -67,7 +69,7 @@ TEST(Integration, PipelineImprovementChain) {
     const std::int64_t k = 10;
     const Size lb = combined_lower_bound(inst, k);
     const auto greedy = greedy_rebalance(inst, k);
-    const auto best = best_of_rebalance(inst, k);
+    const auto best = solver::solve_serial(solver::BackendId::kBestOf, inst, k);
     LocalSearchOptions options;
     options.max_moves = k;
     const auto polished = local_search_improve(inst, best, options);

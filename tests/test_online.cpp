@@ -6,7 +6,6 @@
 #include <algorithm>
 
 #include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "online/scheduler.h"
 #include "online/trace.h"
 

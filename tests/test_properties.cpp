@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <tuple>
 
@@ -15,12 +16,12 @@
 #include "algo/local_search.h"
 #include "algo/m_partition.h"
 #include "algo/ptas.h"
-#include "algo/rebalancer.h"
 #include "algo/unit_exact.h"
 #include "core/generators.h"
 #include "core/io.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -92,7 +93,8 @@ TEST_P(UnitCostProperties, TheoremGuaranteesHoldAgainstExact) {
     EXPECT_LE(stats.accepted_threshold, exact.best.makespan) << "seed=" << seed;
 
     // best-of dominates both.
-    const auto best = best_of_rebalance(inst, k());
+    const auto best =
+        solver::solve_serial(solver::BackendId::kBestOf, inst, k());
     EXPECT_LE(best.makespan, std::min(greedy.makespan, mp.makespan))
         << "seed=" << seed;
 
@@ -198,9 +200,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // -------------------------------------------------- determinism contracts
 
-std::string roster_name(int index) {
-  return standard_rebalancers()[static_cast<std::size_t>(index)].name;
-}
+// The instantiation's parameter values and names are pinned test ids that
+// predate the registry, so each names its backend by a registered spelling
+// (lpt-full is lpt's alias). The PTAS is left out: it is exponential in
+// 1/eps on these 40-job instances.
+constexpr const char* kDeterminismBackends[] = {
+    "none", "greedy", "m-partition", "best-of", "lpt-full", "local-search",
+    "cost-partition"};
 
 class Determinism : public ::testing::TestWithParam<int> {};
 
@@ -208,8 +214,9 @@ TEST_P(Determinism, AlgorithmsAreBitReproducible) {
   // Every rebalancer must produce an identical assignment on repeated runs
   // and on an instance that round-tripped through the text format - the
   // property that makes EXPERIMENTS.md regenerable.
-  const auto roster = standard_rebalancers();
-  const auto& algo = roster[static_cast<std::size_t>(GetParam())];
+  const char* name = kDeterminismBackends[GetParam()];
+  solver::SolverSpec spec;
+  ASSERT_TRUE(solver::parse_backend(name, &spec.backend)) << name;
   GeneratorOptions opt;
   opt.num_jobs = 40;
   opt.num_procs = 6;
@@ -218,28 +225,31 @@ TEST_P(Determinism, AlgorithmsAreBitReproducible) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto inst = random_instance(opt, seed);
     for (std::int64_t k : {0, 3, 11}) {
-      const auto first = algo.run(inst, k);
-      const auto second = algo.run(inst, k);
+      spec.params.budget = 4 * k;
+      const auto first = solver::solve_serial(spec, inst, k);
+      const auto second = solver::solve_serial(spec, inst, k);
       EXPECT_EQ(first.assignment, second.assignment)
-          << algo.name << " seed=" << seed << " k=" << k;
+          << name << " seed=" << seed << " k=" << k;
       // Round-trip the instance through text serialization.
       const auto parsed = instance_from_string(instance_to_string(inst));
       ASSERT_TRUE(parsed.has_value());
-      const auto replay = algo.run(*parsed, k);
+      const auto replay = solver::solve_serial(spec, *parsed, k);
       EXPECT_EQ(first.assignment, replay.assignment)
-          << algo.name << " seed=" << seed << " k=" << k;
+          << name << " seed=" << seed << " k=" << k;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, Determinism, ::testing::Range(0, 5),
-                         [](const ::testing::TestParamInfo<int>& param_info) {
-                           std::string name = roster_name(param_info.param);
-                           for (char& ch : name) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, Determinism,
+    ::testing::Range(0, static_cast<int>(std::size(kDeterminismBackends))),
+    [](const ::testing::TestParamInfo<int>& param_info) {
+      std::string name = kDeterminismBackends[param_info.param];
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace lrb
@@ -283,17 +293,18 @@ TEST_P(FuzzShapes, UniversalInvariantsHold) {
     const std::int64_t k = rng.uniform_int(0, 30);
     const Size lb = combined_lower_bound(inst, k);
 
-    for (const auto& algo : standard_rebalancers()) {
-      const auto r = algo.run(inst, k);
+    for (const auto& backend : solver::all_backends()) {
+      if (backend.costed) continue;  // the budgeted ones are checked below
+      const auto r = solver::solve_serial(backend.id, inst, k);
       ASSERT_FALSE(validate(inst, r.assignment).has_value())
-          << algo.name << " trial=" << trial;
-      if (algo.name != "lpt-full") {
-        EXPECT_LE(r.moves, k) << algo.name << " trial=" << trial;
-        EXPECT_GE(r.makespan, lb) << algo.name << " trial=" << trial;
+          << backend.name << " trial=" << trial;
+      if (backend.respects_k) {
+        EXPECT_LE(r.moves, k) << backend.name << " trial=" << trial;
+        EXPECT_GE(r.makespan, lb) << backend.name << " trial=" << trial;
       }
-      EXPECT_EQ(r.makespan, makespan(inst, r.assignment)) << algo.name;
-      EXPECT_EQ(r.moves, moves_used(inst, r.assignment)) << algo.name;
-      EXPECT_EQ(r.cost, relocation_cost(inst, r.assignment)) << algo.name;
+      EXPECT_EQ(r.makespan, makespan(inst, r.assignment)) << backend.name;
+      EXPECT_EQ(r.moves, moves_used(inst, r.assignment)) << backend.name;
+      EXPECT_EQ(r.cost, relocation_cost(inst, r.assignment)) << backend.name;
     }
 
     const Cost budget = rng.uniform_int(0, 200);

@@ -7,9 +7,9 @@
 
 #include <algorithm>
 
-#include "algo/rebalancer.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
+#include "solver/registry.h"
 
 namespace lrb::sim {
 namespace {
@@ -100,12 +100,16 @@ SimOptions base_sim(std::uint64_t seed) {
   return opt;
 }
 
+/// A registry backend (by name or alias) as a simulator policy.
 Policy policy_by_name(const std::string& name) {
-  for (auto& p : standard_rebalancers()) {
-    if (p.name == name) return p.run;
+  solver::BackendId backend{};
+  if (!solver::parse_backend(name, &backend)) {
+    ADD_FAILURE() << "unknown policy " << name;
+    return {};
   }
-  ADD_FAILURE() << "unknown policy " << name;
-  return {};
+  return [backend](const Instance& instance, std::int64_t k) {
+    return solver::solve_serial(backend, instance, k);
+  };
 }
 
 TEST(Simulator, DeterministicReplay) {
@@ -273,18 +277,31 @@ TEST(Simulator, ChurnWithActivePolicyStaysHealthy) {
 }  // namespace
 }  // namespace lrb::sim
 
+#include "algo/cost_greedy.h"
 #include "core/generators.h"
-#include "sim/policies.h"
 
 namespace lrb::sim {
 namespace {
+
+/// §3.2 cost-PARTITION with a per-round byte budget (the k the simulator
+/// passes is ignored; the budget is bytes).
+Policy byte_budget_policy(Cost bytes) {
+  const solver::SolverSpec spec(solver::BackendId::kCostPartition,
+                                {.budget = bytes});
+  return [spec](const Instance& instance, std::int64_t k) {
+    return solver::solve_serial(spec, instance, k);
+  };
+}
 
 TEST(Policies, ByteBudgetPoliciesRespectBytes) {
   auto opt = base_sim(51);
   opt.byte_costs = true;
   const Cost byte_budget = 3000;
-  for (auto policy : {cost_partition_policy(byte_budget),
-                      cost_greedy_policy(byte_budget)}) {
+  const Policy cost_greedy = [byte_budget](const Instance& instance,
+                                           std::int64_t) {
+    return cost_greedy_rebalance(instance, byte_budget);
+  };
+  for (const auto& policy : {byte_budget_policy(byte_budget), cost_greedy}) {
     Simulator simulator(opt, policy);
     const auto result = simulator.run();
     for (const auto& step : result.series) {
@@ -295,14 +312,18 @@ TEST(Policies, ByteBudgetPoliciesRespectBytes) {
 }
 
 TEST(Policies, UnitRosterLookup) {
-  EXPECT_EQ(unit_policies().size(), 5u);
-  const auto policy = unit_policy("greedy");
+  // Every backend without a cost budget is a simulator policy by name.
   lrb::GeneratorOptions gen;
   gen.num_jobs = 20;
   gen.num_procs = 4;
   const auto inst = lrb::random_instance(gen, 1);
-  const auto result = policy(inst, 3);
-  EXPECT_LE(result.moves, 3);
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.costed) continue;
+    const auto result = policy_by_name(backend.name)(inst, 3);
+    if (backend.respects_k) {
+      EXPECT_LE(result.moves, 3) << backend.name;
+    }
+  }
 }
 
 TEST(Policies, CostAwareBeatsCostBlindOnBytes) {
@@ -310,8 +331,8 @@ TEST(Policies, CostAwareBeatsCostBlindOnBytes) {
   // unit greedy spending the same number of MOVES unconstrained by bytes.
   auto opt = base_sim(53);
   opt.byte_costs = true;
-  Simulator aware(opt, cost_partition_policy(2000));
-  Simulator blind(opt, unit_policy("greedy"));
+  Simulator aware(opt, byte_budget_policy(2000));
+  Simulator blind(opt, policy_by_name("greedy"));
   const auto aware_result = aware.run();
   const auto blind_result = blind.run();
   EXPECT_LT(aware_result.total_bytes, blind_result.total_bytes + 1);

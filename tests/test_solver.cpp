@@ -1,22 +1,26 @@
 // Contract battery for the solver backend registry (src/solver/,
 // docs/solvers.md): name/alias/wire-id round-trips, the wire-id stability
 // policy (unique, append-only, never reused), parameter validation,
-// cache-key encoding distinctness and normalization, and the dispatch
-// switch staying faithful to the library entry points for the backends
-// that are NOT covered by the legacy engine/service suites (lpt,
-// local-search).
+// cache-key encoding distinctness and normalization, the dispatch switch
+// staying faithful to the library entry points for the backends that are
+// NOT covered by the legacy engine/service suites (lpt, local-search,
+// none, cost-partition), and every backend passing the certificate of the
+// guarantee its descriptor declares.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "algo/cost_partition.h"
 #include "algo/local_search.h"
 #include "algo/lpt.h"
+#include "check/certify.h"
 #include "core/assignment.h"
 #include "core/generators.h"
 #include "core/instance.h"
@@ -45,8 +49,6 @@ TEST(SolverRegistry, EveryBackendIdHasADescriptor) {
     EXPECT_EQ(static_cast<std::size_t>(backends[i].id), i)
         << "descriptor table out of BackendId order at slot " << i;
     EXPECT_STRNE(backends[i].name, "") << "slot " << i;
-    EXPECT_NE(backends[i].validate, nullptr) << backends[i].name;
-    EXPECT_NE(backends[i].serial, nullptr) << backends[i].name;
   }
 }
 
@@ -106,6 +108,8 @@ TEST(SolverRegistry, WireIdsAreUniqueStableAndNeverReused) {
   EXPECT_EQ(solver::descriptor(BackendId::kPtas).wire_id, 3);
   EXPECT_EQ(solver::descriptor(BackendId::kLpt).wire_id, 4);
   EXPECT_EQ(solver::descriptor(BackendId::kLocalSearch).wire_id, 5);
+  EXPECT_EQ(solver::descriptor(BackendId::kNone).wire_id, 6);
+  EXPECT_EQ(solver::descriptor(BackendId::kCostPartition).wire_id, 7);
 }
 
 TEST(SolverRegistry, WireIdLookupCoversExactlyTheRegisteredIds) {
@@ -125,7 +129,8 @@ TEST(SolverRegistry, WireIdLookupCoversExactlyTheRegisteredIds) {
 
 TEST(SolverRegistry, BackendListJoinsEveryCanonicalName) {
   EXPECT_EQ(solver::backend_list(),
-            "greedy|m-partition|best-of|ptas|lpt|local-search");
+            "greedy|m-partition|best-of|ptas|lpt|local-search|none|"
+            "cost-partition");
 }
 
 TEST(SolverRegistry, ValidateSpecRejectsOutOfBoundsParams) {
@@ -172,7 +177,7 @@ TEST(SolverRegistry, CacheKeyParamsSeparateBackendsAndConsumedKnobs) {
   // across every budget/eps value (docs/caching.md).
   for (const BackendId backend :
        {BackendId::kGreedy, BackendId::kMPartition, BackendId::kBestOf,
-        BackendId::kLpt, BackendId::kLocalSearch}) {
+        BackendId::kLpt, BackendId::kLocalSearch, BackendId::kNone}) {
     EXPECT_EQ(key_of(SolverSpec(backend, {.budget = 123, .eps = 0.125})),
               key_of(SolverSpec(backend)))
         << solver::backend_name(backend);
@@ -181,12 +186,20 @@ TEST(SolverRegistry, CacheKeyParamsSeparateBackendsAndConsumedKnobs) {
     EXPECT_EQ(norm, solver::SolverParams{})
         << solver::backend_name(backend);
   }
+  // cost-PARTITION consumes the budget only: its knapsack eps is fixed.
+  EXPECT_NE(key_of(SolverSpec(BackendId::kCostPartition, {.budget = 7})),
+            key_of(SolverSpec(BackendId::kCostPartition, {.budget = 8})));
+  EXPECT_EQ(key_of(SolverSpec(BackendId::kCostPartition, {.eps = 0.25})),
+            key_of(SolverSpec(BackendId::kCostPartition)));
+  EXPECT_EQ(solver::normalized_params(
+                SolverSpec(BackendId::kCostPartition, {.budget = 9, .eps = 2})),
+            (solver::SolverParams{.budget = 9}));
   // And the key layout is fixed-width: backend byte + two u64 fields.
   EXPECT_EQ(key_of(SolverSpec(BackendId::kPtas)).size(), 1u + 8u + 8u);
 }
 
 TEST(SolverRegistry, NewBackendsMatchTheirLibraryEntryPoints) {
-  // The dispatch switch must be faithful: registry solves of the two
+  // The dispatch switch must be faithful: registry solves of the
   // registry-born backends equal the direct library calls, serial and
   // under a forced-parallel context alike. (greedy/m-partition/best-of/
   // ptas get the same treatment in test_engine.cpp.)
@@ -211,6 +224,21 @@ TEST(SolverRegistry, NewBackendsMatchTheirLibraryEntryPoints) {
     expect_same(solver::solve(BackendId::kLocalSearch, instance, k, ctx), ls,
                 "ls ctx " + label);
 
+    expect_same(solver::solve_serial(BackendId::kNone, instance, k),
+                no_move_result(instance), "none " + label);
+
+    const Cost budget = 3 * k;
+    const SolverSpec cost_partition(BackendId::kCostPartition,
+                                    {.budget = budget});
+    CostPartitionOptions options;
+    options.budget = budget;
+    const RebalanceResult cp =
+        solver::solve_serial(cost_partition, instance, k);
+    expect_same(cp, cost_partition_rebalance(instance, options),
+                "cost-partition " + label);
+    expect_same(solver::solve(cost_partition, instance, k, ctx), cp,
+                "cost-partition ctx " + label);
+
     // Capability flags tell the truth: lpt reassigns from scratch (ignores
     // k), local-search honors the k-move bound.
     EXPECT_FALSE(solver::descriptor(BackendId::kLpt).respects_k);
@@ -219,14 +247,52 @@ TEST(SolverRegistry, NewBackendsMatchTheirLibraryEntryPoints) {
   }
 }
 
-TEST(SolverRegistry, DescriptorSerialHookEqualsSolveSerial) {
-  for (const auto& backend : solver::all_backends()) {
-    if (backend.id == BackendId::kPtas) continue;  // costly; covered above
-    const Instance instance = mixed_corpus_instance(3, 0x5e41a1);
-    const SolverSpec spec(backend.id);
-    expect_same(backend.serial(instance, 4, spec.params),
-                solver::solve_serial(spec, instance, 4), backend.name);
+TEST(SolverRegistry, EveryBackendDeclaresThePapersGuarantee) {
+  // The tripwire for the guarantee column of docs/solvers.md: backends that
+  // share a proof share a kind.
+  using solver::Guarantee;
+  const struct {
+    BackendId backend;
+    Guarantee want;
+  } table[] = {{BackendId::kGreedy, Guarantee::kGreedy},
+               {BackendId::kMPartition, Guarantee::kPartition},
+               {BackendId::kBestOf, Guarantee::kGreedy},
+               {BackendId::kPtas, Guarantee::kPtas},
+               {BackendId::kLpt, Guarantee::kLpt},
+               {BackendId::kLocalSearch, Guarantee::kPartition},
+               {BackendId::kNone, Guarantee::kIdentity},
+               {BackendId::kCostPartition, Guarantee::kCostPartition}};
+  ASSERT_EQ(std::size(table), solver::kNumBackends);
+  for (const auto& row : table) {
+    EXPECT_EQ(solver::descriptor(row.backend).guarantee, row.want)
+        << solver::backend_name(row.backend);
   }
+}
+
+TEST(SolverRegistry, EveryBackendPassesTheCertificateItsGuaranteeGives) {
+  const auto certify = [](const SolverSpec& spec, const Instance& instance,
+                          std::int64_t k, const std::string& label) {
+    const RebalanceResult result = solver::solve_serial(spec, instance, k);
+    const auto certificate = certify_solution(
+        instance, result, guarantee_check(spec, instance, k, result).apriori);
+    EXPECT_TRUE(certificate.ok()) << label << "\n" << certificate.to_string();
+  };
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.id == BackendId::kPtas) continue;  // small tier below
+    for (std::size_t index = 0; index < 12; ++index) {
+      const Instance instance = mixed_corpus_instance(index, 0x9a7a);
+      const std::int64_t k = static_cast<std::int64_t>(index % 5) + 1;
+      certify(SolverSpec(backend.id, {.budget = 3 * k}), instance, k,
+              std::string(backend.name) + " corpus " + std::to_string(index));
+    }
+  }
+  // The PTAS is slow on larger instances: a 12-job one, as SvcLoopback.
+  Instance small = mixed_corpus_instance(0, 7);
+  small.sizes.resize(12);
+  small.initial.resize(12);
+  small.move_costs.resize(12);
+  certify(SolverSpec(BackendId::kPtas, {.budget = 10, .eps = 0.5}), small, 3,
+          "ptas");
 }
 
 }  // namespace

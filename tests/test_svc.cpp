@@ -19,6 +19,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "core/generators.h"
 #include "engine/batch_solver.h"
 #include "obs/metrics.h"
+#include "solver/registry.h"
 #include "svc/client.h"
 #include "svc/server.h"
 #include "svc/wire.h"
@@ -295,19 +297,18 @@ TEST(SvcLoopback, SolveRepliesAreByteIdenticalToSerialAcrossAlgos) {
   TestServer ts;
   Client client = ts.connect();
   std::uint64_t id = 1;
-  for (const solver::BackendId backend :
-       {solver::BackendId::kGreedy, solver::BackendId::kMPartition,
-        solver::BackendId::kBestOf, solver::BackendId::kLpt,
-        solver::BackendId::kLocalSearch}) {
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.id == solver::BackendId::kPtas) continue;  // small tier below
     for (std::size_t i = 0; i < 6; ++i) {
       SolveRequest request = sample_request(i);
-      request.spec = backend;
+      request.spec = solver::SolverSpec(
+          backend.id, {.budget = static_cast<Cost>(8 * (i + 1))});
       std::string error;
       const auto outcome = client.solve(request, id++, &error);
       ASSERT_TRUE(outcome) << error;
       ASSERT_TRUE(outcome->result) << "unexpected server error";
       EXPECT_EQ(outcome->raw_payload, expected_reply_payload(request))
-          << solver::backend_name(backend) << " i=" << i;
+          << backend.name << " i=" << i;
     }
   }
   // The small PTAS case rides the same contract.
@@ -325,6 +326,55 @@ TEST(SvcLoopback, SolveRepliesAreByteIdenticalToSerialAcrossAlgos) {
   ASSERT_TRUE(outcome) << error;
   ASSERT_TRUE(outcome->result);
   EXPECT_EQ(outcome->raw_payload, expected_reply_payload(ptas));
+}
+
+TEST(SvcLoopback, OutOfRangeConsumedKnobsAreBadRequestsOnAnOpenConnection) {
+  // A knob a backend consumes must be in range (the PTAS and cost-PARTITION
+  // assert on it); the server answers BadRequest and keeps serving the
+  // same connection. Knobs a backend ignores are never inspected.
+  TestServer ts;
+  Client client = ts.connect();
+  const SolveRequest valid = sample_request(2);
+  const std::string want = expected_reply_payload(valid);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<solver::SolverSpec> bad;
+  for (const double eps : {0.0, -0.5, nan, inf}) {
+    bad.emplace_back(solver::BackendId::kPtas,
+                     solver::SolverParams{.eps = eps});
+  }
+  bad.emplace_back(solver::BackendId::kPtas,
+                   solver::SolverParams{.budget = -1});
+  bad.emplace_back(solver::BackendId::kCostPartition,
+                   solver::SolverParams{.budget = -1});
+  std::uint64_t id = 1;
+  for (const auto& spec : bad) {
+    SCOPED_TRACE(std::string(solver::backend_name(spec.backend)) + " eps=" +
+                 std::to_string(spec.params.eps) +
+                 " budget=" + std::to_string(spec.params.budget));
+    SolveRequest request = valid;
+    request.spec = spec;
+    std::string error;
+    const auto rejected = client.solve(request, id++, &error);
+    ASSERT_TRUE(rejected) << error;
+    EXPECT_FALSE(rejected->result);
+    ASSERT_TRUE(rejected->server_error);
+    EXPECT_EQ(rejected->server_error->code, ErrorCode::kBadRequest);
+
+    const auto served = client.solve(valid, id++, &error);
+    ASSERT_TRUE(served) << error;
+    ASSERT_TRUE(served->result);
+    EXPECT_EQ(served->raw_payload, want);
+  }
+  SolveRequest lax = valid;
+  lax.spec = solver::SolverSpec(solver::BackendId::kGreedy,
+                                {.budget = -5, .eps = 0.0});
+  std::string error;
+  const auto served = client.solve(lax, id++, &error);
+  ASSERT_TRUE(served) << error;
+  ASSERT_TRUE(served->result);
+  EXPECT_EQ(served->raw_payload, expected_reply_payload(lax));
+  EXPECT_EQ(ts.registry().counter("svc.bad_requests").value(), bad.size());
 }
 
 TEST(SvcLoopback, ConcurrentClientsStayDeterministic) {

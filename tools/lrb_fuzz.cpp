@@ -8,7 +8,7 @@
 // Each iteration draws a random instance (mixing every size distribution,
 // placement policy and cost model, plus the paper's tight families with
 // their known optima), runs the differential harness (check/differential)
-// over the whole algorithm roster, and certifies every result. On a
+// over every registry backend, and certifies every result. On a
 // violation the instance is minimized with the delta-debugging shrinker
 // (check/shrink) and written to the corpus directory as a replayable .lrb
 // file (see docs/testing.md). Exits nonzero iff any violation was found.
@@ -27,27 +27,30 @@
 //                         minimized repro to have at most N jobs
 //   --jobs N (1)          run iterations in waves of N on a thread pool;
 //                         also adds the engine's parallel M-PARTITION to
-//                         the roster (certified like m-partition) and
+//                         the harness (certified like m-partition) and
 //                         bit-compares it against the serial scan, so the
 //                         concurrent path is differentially fuzzed too.
 //                         Violations are still shrunk and written serially,
 //                         in iteration order.
 //   --algo NAME (roster)  "roster" is the default differential harness over
-//                         every algorithm. "ptas" instead fuzzes the PTAS
+//                         every backend. "ptas" instead fuzzes the PTAS
 //                         DP engine against the retained reference
 //                         implementation (check/ptas_reference): every
 //                         guess of the shared scan sequence must match on
 //                         acceptance, cost, state count, and reconstructed
 //                         assignment, and the full serial / scratch-reuse /
 //                         wave-parallel solves must be bit-identical.
-//                         A registry backend name ("lpt", "local-search")
-//                         instead fuzzes that backend through the solver
+//                         Any other registry backend with a direct library
+//                         entry point (every one but best-of) instead
+//                         fuzzes that backend through the solver
 //                         registry: the registry solve must be
 //                         bit-identical to the direct algorithm entry
 //                         point AND to the scratch/pool-context solve, and
-//                         the result must pass its roster certificate
-//                         (check/certify). Violations are shrunk and
-//                         written to the corpus like every other mode.
+//                         the result must pass the certificate of its
+//                         descriptor's guarantee (check/certify). Budgeted
+//                         backends get the drawn cost budget. Violations
+//                         are shrunk and written to the corpus like every
+//                         other mode.
 //   --cache               cache differential mode: every drawn case is
 //                         solved through one process-long cache-enabled
 //                         BatchSolver twice (cold-ish, then warm) plus once
@@ -64,9 +67,12 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "algo/cost_partition.h"
+#include "algo/greedy.h"
 #include "algo/local_search.h"
 #include "algo/lpt.h"
 #include "algo/m_partition.h"
@@ -360,11 +366,18 @@ CacheCase draw_cache_case(Rng& rng, std::int64_t max_jobs,
     out.spec.params.eps = eps_choices[rng.uniform_int(0, 2)];
     if (rng.bernoulli(0.5)) out.spec.params.budget = fuzz_case.options.budget;
   } else {
-    const solver::BackendId backends[] = {
-        solver::BackendId::kGreedy, solver::BackendId::kMPartition,
-        solver::BackendId::kBestOf, solver::BackendId::kLpt,
-        solver::BackendId::kLocalSearch};
-    out.spec.backend = backends[rng.uniform_int(0, 4)];
+    // Every other backend, drawn uniformly from the registry.
+    std::vector<solver::BackendId> backends;
+    for (const auto& backend : solver::all_backends()) {
+      if (backend.id != solver::BackendId::kPtas) {
+        backends.push_back(backend.id);
+      }
+    }
+    out.spec.backend = backends[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(backends.size()) - 1))];
+    if (solver::descriptor(out.spec.backend).budgeted && rng.bernoulli(0.5)) {
+      out.spec.params.budget = fuzz_case.options.budget;
+    }
   }
   return out;
 }
@@ -450,35 +463,50 @@ std::string cache_divergence_fresh(const CacheCase& fuzz_case) {
   return cache_divergence(solver, fuzz_case);
 }
 
-// ---- registry backend differential mode (--algo lpt|local-search) ---------
+// ---- registry backend differential mode (--algo <backend>) ----------------
+
+/// The backend's direct library entry point, bypassing the registry;
+/// nullopt for backends that have none (best-of; the PTAS has its own mode).
+std::optional<RebalanceResult> direct_entry_point(
+    const solver::SolverSpec& spec, const Instance& instance, std::int64_t k) {
+  switch (spec.backend) {
+    case solver::BackendId::kGreedy:
+      return greedy_rebalance(instance, k);
+    case solver::BackendId::kMPartition:
+      return m_partition_rebalance(instance, k);
+    case solver::BackendId::kLpt:
+      return lpt_schedule(instance);
+    case solver::BackendId::kLocalSearch:
+      return m_partition_ls_rebalance(instance, k);
+    case solver::BackendId::kNone:
+      return no_move_result(instance);
+    case solver::BackendId::kCostPartition: {
+      CostPartitionOptions options;
+      options.budget = spec.params.budget;
+      return cost_partition_rebalance(instance, options);
+    }
+    case solver::BackendId::kBestOf:
+    case solver::BackendId::kPtas:
+      break;
+  }
+  return std::nullopt;
+}
 
 /// Empty string iff the registry's solve of `spec` is bit-identical to the
 /// backend's direct algorithm entry point AND to the registry solve under a
 /// scratch/pool context (forced intra-parallel threshold), and the result
-/// passes the backend's roster certificate. The differential target here is
-/// the registry seam itself: dispatch, context plumbing and normalization
-/// must not change results.
+/// passes the a-priori certificate of the backend's guarantee. The
+/// differential target here is the registry seam itself: dispatch, context
+/// plumbing and normalization must not change results.
 std::string backend_divergence(const solver::SolverSpec& spec,
                                const Instance& instance, std::int64_t k,
                                ThreadPool& pool) {
   const RebalanceResult got = solver::solve_serial(spec, instance, k);
-  RebalanceResult direct;
-  const char* roster_name = nullptr;
-  switch (spec.backend) {
-    case solver::BackendId::kLpt:
-      direct = lpt_schedule(instance);
-      roster_name = "lpt-full";
-      break;
-    case solver::BackendId::kLocalSearch:
-      direct = m_partition_ls_rebalance(instance, k);
-      roster_name = "mp-ls";
-      break;
-    default:
-      return "backend has no direct differential reference";
-  }
-  if (got.assignment != direct.assignment || got.makespan != direct.makespan ||
-      got.moves != direct.moves || got.cost != direct.cost ||
-      got.threshold != direct.threshold) {
+  const auto direct = direct_entry_point(spec, instance, k);
+  if (!direct) return "backend has no direct differential reference";
+  if (got.assignment != direct->assignment ||
+      got.makespan != direct->makespan || got.moves != direct->moves ||
+      got.cost != direct->cost || got.threshold != direct->threshold) {
     return "registry solve differs from the direct entry point";
   }
   MPartitionScratch m_partition_scratch;
@@ -495,7 +523,7 @@ std::string backend_divergence(const solver::SolverSpec& spec,
     return "context/parallel solve diverges from the serial solve";
   }
   const auto certificate = certify_solution(
-      instance, got, roster_certify_options(roster_name, instance, k, got));
+      instance, got, guarantee_check(spec, instance, k, got).apriori);
   if (!certificate.ok()) return certificate.to_string();
   return {};
 }
@@ -563,15 +591,13 @@ int main(int argc, char** argv) {
   const bool backend_mode =
       algo != "roster" && algo != "ptas" &&
       solver::parse_backend(algo, &backend_spec.backend);
-  if (backend_mode && backend_spec.backend != solver::BackendId::kLpt &&
-      backend_spec.backend != solver::BackendId::kLocalSearch) {
-    return fail("--algo " + algo +
-                " has no registry differential mode (use 'roster', 'ptas', "
-                "'lpt' or 'local-search')");
-  }
   if (algo != "roster" && algo != "ptas" && !backend_mode) {
-    return fail("--algo must be 'roster', 'ptas', or a registry backend "
-                "(lpt|local-search)");
+    return fail("--algo must be 'roster', 'ptas', or a registry backend (" +
+                solver::backend_list() + ")");
+  }
+  if (backend_mode && backend_spec.backend == solver::BackendId::kBestOf) {
+    return fail("--algo " + algo +
+                " has no direct library entry point to fuzz against");
   }
   const bool cache_mode = flags.has("cache");
   if (cache_mode && algo != "roster") {
@@ -657,7 +683,7 @@ int main(int argc, char** argv) {
   if (backend_mode) {
     // Registry backend differential mode: registry dispatch vs the direct
     // algorithm entry point vs the context-accelerated solve, plus the
-    // backend's roster certificate, one case per iteration.
+    // certificate of the backend's guarantee, one case per iteration.
     ThreadPool backend_pool(pool != nullptr ? jobs : 2);
     const std::string backend_name =
         solver::backend_name(backend_spec.backend);
@@ -670,9 +696,12 @@ int main(int argc, char** argv) {
       Rng rng(stream ^ (it * 0x9e3779b97f4a7c15ULL));
       auto fuzz_case = draw_case(rng, max_jobs, max_procs);
       const std::int64_t k = fuzz_case.options.k;
+      solver::SolverSpec spec = backend_spec;
+      if (solver::descriptor(spec.backend).budgeted) {
+        spec.params.budget = fuzz_case.options.budget;
+      }
       const auto divergence =
-          backend_divergence(backend_spec, fuzz_case.instance, k,
-                             backend_pool);
+          backend_divergence(spec, fuzz_case.instance, k, backend_pool);
       if (divergence.empty()) continue;
 
       ++violations;
@@ -682,8 +711,7 @@ int main(int argc, char** argv) {
                 << ", m=" << fuzz_case.instance.num_procs << ", k=" << k
                 << "): " << divergence << "\n";
       const auto still_diverges = [&](const Instance& candidate) {
-        return !backend_divergence(backend_spec, candidate, k, backend_pool)
-                    .empty();
+        return !backend_divergence(spec, candidate, k, backend_pool).empty();
       };
       ShrinkOptions shrink_options;
       shrink_options.max_evaluations = 2'000;
@@ -701,10 +729,12 @@ int main(int argc, char** argv) {
           << " registry differential: registry vs direct entry point)\n"
           << "# seed=" << seed << " iteration=" << it
           << " family=" << fuzz_case.family << "\n"
-          << "# k=" << k << "\n"
-          << "# divergence: "
-          << backend_divergence(backend_spec, minimized.instance, k,
-                                backend_pool)
+          << "# k=" << k;
+      if (spec.params.budget != kInfCost) {
+        out << " budget=" << spec.params.budget;
+      }
+      out << "\n# divergence: "
+          << backend_divergence(spec, minimized.instance, k, backend_pool)
           << "\n";
       write_instance(out, minimized.instance);
       std::cerr << "lrb_fuzz: minimized to n=" << minimized.instance.num_jobs()
@@ -821,25 +851,19 @@ int main(int argc, char** argv) {
     Rng rng(stream ^ (iter * 0x9e3779b97f4a7c15ULL));
     out.fuzz_case = draw_case(rng, max_jobs, max_procs);
     if (with_mutant) {
-      out.fuzz_case.options.extra.push_back(CheckedRebalancer{
-          NamedRebalancer{"mutant-greedy", mutant_greedy},
-          [](const Instance& inst, std::int64_t k, const RebalanceResult& r) {
-            return roster_certify_options("greedy", inst, k, r);
-          }});
+      out.fuzz_case.options.extra.push_back(
+          {"mutant-greedy", mutant_greedy, solver::BackendId::kGreedy});
     }
     if (pool != nullptr) {
       // Route M-PARTITION through the engine's chunked parallel scan (on
       // the shared, already-busy pool) and certify it like the serial one.
       ThreadPool* p = pool.get();
-      out.fuzz_case.options.extra.push_back(CheckedRebalancer{
-          NamedRebalancer{"engine-m-partition",
-                          [p](const Instance& inst, std::int64_t k) {
-                            return m_partition_rebalance_parallel(inst, k, *p,
-                                                                  nullptr, 2);
-                          }},
-          [](const Instance& inst, std::int64_t k, const RebalanceResult& r) {
-            return roster_certify_options("m-partition", inst, k, r);
-          }});
+      out.fuzz_case.options.extra.push_back(
+          {"engine-m-partition",
+           [p](const Instance& inst, std::int64_t k) {
+             return m_partition_rebalance_parallel(inst, k, *p, nullptr, 2);
+           },
+           solver::BackendId::kMPartition});
     }
     out.report =
         differential_check(out.fuzz_case.instance, out.fuzz_case.options);
@@ -941,7 +965,7 @@ int main(int argc, char** argv) {
       if (!engine_in_signature) {
         std::erase_if(shrink_case_options.extra,
                       [](const CheckedRebalancer& extra) {
-                        return extra.rebalancer.name == "engine-m-partition";
+                        return extra.name == "engine-m-partition";
                       });
       }
       const auto still_fails = [&](const Instance& candidate) {

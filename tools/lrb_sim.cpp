@@ -5,8 +5,8 @@
 //                --every 5 --k 12 --seed 7 > series.csv
 //
 // Flags (defaults in parentheses):
-//   --policy none|greedy|m-partition|best-of|lpt-full (m-partition)
-//   --byte-budget B        use cost-PARTITION with B bytes per round instead
+//   --policy NAME (m-partition)  any solver-registry backend or alias
+//   --byte-budget B        use cost-partition with B bytes per round instead
 //   --sites N (300)        --servers M (12)     --steps T (400)
 //   --every R (5)          --k K (12)           --seed S (1)
 //   --flash-prob P (0.003) --drain-prob P (0)   --churn-prob P (0)
@@ -15,8 +15,8 @@
 #include <iostream>
 #include <string>
 
-#include "sim/policies.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 #include "util/flags.h"
 #include "util/version.h"
 #include "util/table.h"
@@ -58,23 +58,21 @@ int main(int argc, char** argv) {
     return fail("--sites, --servers and --steps must be positive");
   }
 
-  Policy policy;
+  solver::SolverSpec spec;
   std::string policy_name = flags.get_or("policy", "m-partition");
   if (flags.has("byte-budget")) {
     options.byte_costs = true;
-    policy = cost_partition_policy(flags.get_int("byte-budget", 5000));
-    policy_name = "cost-partition(" +
-                  std::to_string(flags.get_int("byte-budget", 5000)) + "B)";
-  } else {
-    bool known = false;
-    for (auto& candidate : unit_policies()) {
-      if (candidate.name == policy_name) {
-        policy = candidate.run;
-        known = true;
-      }
-    }
-    if (!known) return fail("unknown --policy '" + policy_name + "'");
+    const Cost bytes = flags.get_int("byte-budget", 5000);
+    spec = solver::SolverSpec(solver::BackendId::kCostPartition,
+                              {.budget = bytes});
+    policy_name = "cost-partition(" + std::to_string(bytes) + "B)";
+  } else if (!solver::parse_backend(policy_name, &spec.backend)) {
+    return fail("unknown --policy '" + policy_name + "'");
   }
+  if (const auto problem = solver::validate_spec(spec)) return fail(*problem);
+  const Policy policy = [spec](const Instance& instance, std::int64_t k) {
+    return solver::solve_serial(spec, instance, k);
+  };
 
   Simulator simulator(options, policy);
   const auto result = simulator.run();

@@ -8,29 +8,26 @@
 // Reads the instance from the positional path ("-" = stdin). Prints a
 // before/after report to stderr and the assignment to --out (or stdout).
 //
-// Algorithms: none | greedy | m-partition | mp-ls | best-of | lpt-full |
-//             cost-greedy | cost-partition | ptas | shmoys-tardos | exact
+// Algorithms: every solver-registry backend by name or alias (none | greedy |
+//             m-partition | best-of | ptas | lpt | local-search |
+//             cost-partition; lpt-full and mp-ls still parse), plus
+//             cost-greedy | shmoys-tardos | exact.
 // Budgets: --k for unit-cost algorithms (default n), --budget for cost-aware
-// ones (default: the k value), --eps for the PTAS (default 0.5).
+// ones (default: the k value), --eps for the PTAS (default 0.5). Knobs the
+// chosen backend consumes must be in range (budget >= 0, eps > 0).
 
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "algo/cost_greedy.h"
-#include "algo/cost_partition.h"
 #include "algo/exact.h"
-#include "algo/greedy.h"
-#include "algo/local_search.h"
-#include "algo/lpt.h"
-#include "algo/m_partition.h"
-#include "algo/ptas.h"
-#include "algo/rebalancer.h"
 #include "core/analysis.h"
 #include "core/plan.h"
 #include "core/io.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "solver/registry.h"
 #include "util/flags.h"
 #include "util/version.h"
 #include "util/timer.h"
@@ -75,34 +72,21 @@ int main(int argc, char** argv) {
 
   Timer timer;
   RebalanceResult result;
-  if (algo == "none") {
-    result = no_move_result(*instance);
-  } else if (algo == "greedy") {
-    result = greedy_rebalance(*instance, k);
-  } else if (algo == "m-partition") {
-    result = m_partition_rebalance(*instance, k);
-  } else if (algo == "mp-ls") {
-    result = m_partition_ls_rebalance(*instance, k);
-  } else if (algo == "best-of") {
-    result = best_of_rebalance(*instance, k);
-  } else if (algo == "lpt-full") {
-    result = lpt_schedule(*instance);
-  } else if (algo == "cost-greedy") {
-    result = cost_greedy_rebalance(*instance, budget);
-  } else if (algo == "cost-partition") {
-    CostPartitionOptions options;
-    options.budget = budget;
-    result = cost_partition_rebalance(*instance, options);
-  } else if (algo == "ptas") {
-    PtasOptions options;
-    options.budget = budget;
-    options.eps = eps;
-    const auto ptas = ptas_rebalance(*instance, options);
-    if (!ptas.success) {
+  solver::SolverSpec spec;
+  if (solver::parse_backend(algo, &spec.backend)) {
+    spec.params = {.budget = budget, .eps = eps};
+    if (const auto problem = solver::validate_spec(
+            {spec.backend, solver::normalized_params(spec)})) {
+      return fail(*problem);
+    }
+    bool gave_up = false;
+    result = solver::solve(spec, *instance, k, {.gave_up = &gave_up});
+    if (gave_up) {
       return fail("PTAS state limit exceeded; raise --eps or shrink the "
                   "instance");
     }
-    result = ptas.result;
+  } else if (algo == "cost-greedy") {
+    result = cost_greedy_rebalance(*instance, budget);
   } else if (algo == "shmoys-tardos") {
     result = st_rebalance(*instance, budget);
   } else if (algo == "exact") {

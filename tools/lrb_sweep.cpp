@@ -1,5 +1,6 @@
-// lrb_sweep: evaluate the whole algorithm roster across a sweep of move
-// budgets on one instance, in parallel, and print a comparison table.
+// lrb_sweep: evaluate every solver-registry backend without a cost budget
+// across a sweep of move budgets on one instance, in parallel, and print a
+// comparison table.
 //
 //   lrb_sweep instance.lrb --k 1,2,4,8,16,32 [--csv] [--threads N]
 //
@@ -13,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "algo/rebalancer.h"
 #include "core/analysis.h"
 #include "core/io.h"
 #include "core/lower_bounds.h"
+#include "solver/registry.h"
 #include "util/flags.h"
 #include "util/version.h"
 #include "util/table.h"
@@ -61,26 +62,26 @@ int main(int argc, char** argv) {
 
   const auto budgets = parse_budgets(flags.get_or("k", "1,2,4,8,16,32"));
   if (budgets.empty()) return fail("--k list is empty");
-  const auto roster = standard_rebalancers();
 
   struct Cell {
-    std::string algo;
+    solver::BackendId backend;
     std::int64_t k = 0;
     RebalanceResult result;
     double millis = 0;
   };
   std::vector<Cell> cells;
-  for (const auto& algo : roster) {
+  for (const auto& backend : solver::all_backends()) {
+    if (backend.costed) continue;  // no cost budget on this sweep
     for (std::int64_t k : budgets) {
-      cells.push_back({algo.name, k, {}, 0});
+      cells.push_back({backend.id, k, {}, 0});
     }
   }
 
   ThreadPool pool(static_cast<std::size_t>(flags.get_int("threads", 0)));
   parallel_for(pool, 0, cells.size(), [&](std::size_t i) {
-    const auto& algo = roster[i / budgets.size()];
     Timer timer;
-    cells[i].result = algo.run(*instance, cells[i].k);
+    cells[i].result = solver::solve_serial(cells[i].backend, *instance,
+                                           cells[i].k);
     cells[i].millis = timer.millis();
   });
 
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   for (const auto& cell : cells) {
     const Size lb = combined_lower_bound(*instance, cell.k);
     table.row()
-        .add(cell.algo)
+        .add(solver::backend_name(cell.backend))
         .add(cell.k)
         .add(cell.result.makespan)
         .add(cell.result.moves)
