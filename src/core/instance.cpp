@@ -76,10 +76,17 @@ std::optional<std::string> validate(const Instance& instance) {
     return "initial length (" + std::to_string(instance.initial.size()) +
            ") != number of jobs (" + std::to_string(n) + ")";
   }
+  Size total = 0;
   for (std::size_t j = 0; j < n; ++j) {
     if (instance.sizes[j] < 0) {
       return "job " + std::to_string(j) + " has negative size";
     }
+    // total + size >= kInfSize, without overflowing: loads, makespans and
+    // the solvers' sentinels all stay exact below the cap.
+    if (instance.sizes[j] >= kInfSize - total) {
+      return "total job size reaches " + std::to_string(kInfSize);
+    }
+    total += instance.sizes[j];
     if (instance.move_costs[j] < 0) {
       return "job " + std::to_string(j) + " has negative move cost";
     }

@@ -55,8 +55,8 @@ struct Instance {
                                      ProcId num_procs);
 
 /// Structural validation: matching vector lengths, m >= 1, sizes >= 0,
-/// costs >= 0, initial processors in range. Returns an error description or
-/// nullopt when valid.
+/// total size < kInfSize, costs >= 0, initial processors in range. Returns
+/// an error description or nullopt when valid.
 [[nodiscard]] std::optional<std::string> validate(const Instance& instance);
 
 }  // namespace lrb

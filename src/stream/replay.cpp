@@ -21,13 +21,16 @@ ReplayResult replay_serial_reference(const Instance& initial,
                                      const TriggerConfig& config,
                                      std::span<const Delta> deltas,
                                      const ReplayOptions& options) {
+  // Every ack value is recomputed from scratch, never read from the state
+  // the session maintains, so a server's maintained values are checked
+  // against an independent computation.
   ReplayResult result;
   auto session = ClusterSession::open(initial, config, &result.error);
   if (!session) return result;
   const SolveFn solve = serial_reference_solver(options.cached);
-  result.open_makespan = session->makespan();
-  result.open_lower_bound = session->lower_bound();
-  result.open_digest = session->digest();
+  result.open_makespan = session->recomputed_makespan();
+  result.open_lower_bound = session->recomputed_lower_bound();
+  result.open_digest = session->recomputed_digest();
   result.steps.reserve(deltas.size());
   for (std::size_t i = 0; i < deltas.size(); ++i) {
     const std::uint64_t seq = i + 1;
@@ -37,12 +40,12 @@ ReplayResult replay_serial_reference(const Instance& initial,
     replayed.applied = step.applied;
     replayed.error = std::move(step.error);
     replayed.plans = std::move(step.plans);
-    replayed.makespan = session->makespan();
-    replayed.lower_bound = session->lower_bound();
-    replayed.digest = session->digest();
+    replayed.makespan = session->recomputed_makespan();
+    replayed.lower_bound = session->recomputed_lower_bound();
+    replayed.digest = session->recomputed_digest();
     result.steps.push_back(std::move(replayed));
   }
-  result.final_stats = session->stats();
+  result.final_stats = session->recomputed_stats();
   result.ok = true;
   return result;
 }

@@ -3,24 +3,25 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
+#include <iterator>
 
-#include "cache/canonical.h"
 #include "core/lower_bounds.h"
 #include "solver/registry.h"
+#include "util/packed_key.h"
 
 namespace lrb::stream {
 
 namespace {
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
+/// First word of the state digest ("lrb-sess" in ASCII).
+constexpr std::uint64_t kDigestTag = 0x6c72622d73657373ULL;
 
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
+std::uint64_t proc_hash(std::uint64_t id) { return hash_words(&id, 1); }
+
+/// The message of a rejected delta that would take the live total size to
+/// kInfSize or more (lrb::validate's cap on a whole instance).
+std::string total_cap_error() {
+  return "total job size would reach " + std::to_string(kInfSize);
 }
 
 }  // namespace
@@ -89,6 +90,7 @@ std::optional<ClusterSession> ClusterSession::open(const Instance& initial,
   for (ProcId p = 0; p < initial.num_procs; ++p) {
     session.procs_.push_back({p, 0});
     session.proc_slots_.emplace(p, p);
+    session.proc_hash_sum_ += proc_hash(p);
   }
   const std::size_t n = initial.num_jobs();
   session.jobs_.reserve(n);
@@ -99,6 +101,7 @@ std::optional<ClusterSession> ClusterSession::open(const Instance& initial,
     job.move_cost = initial.move_costs[j];
     job.proc_slot = initial.initial[j];
     session.procs_[job.proc_slot].load += job.size;
+    session.track(job);
     session.job_slots_.emplace(job.id, session.jobs_.size());
     session.jobs_.push_back(job);
   }
@@ -112,8 +115,90 @@ Size ClusterSession::makespan() const {
 }
 
 Size ClusterSession::lower_bound() const {
+  const auto m = static_cast<Size>(procs_.size());
+  return std::max((total_size_ + m - 1) / m, max_size_);
+}
+
+std::uint64_t ClusterSession::digest() const {
+  return digest_of(proc_hash_sum_, job_hash_sum_, makespan());
+}
+
+Size ClusterSession::recomputed_makespan() const {
+  std::vector<Size> loads(procs_.size(), 0);
+  for (const JobRec& job : jobs_) loads[job.proc_slot] += job.size;
+  Size makespan = 0;
+  for (const Size load : loads) makespan = std::max(makespan, load);
+  return makespan;
+}
+
+Size ClusterSession::recomputed_lower_bound() const {
   const Instance live = snapshot();
   return std::max(average_load_bound(live), max_job_bound(live));
+}
+
+std::uint64_t ClusterSession::recomputed_digest() const {
+  std::uint64_t proc_sum = 0;
+  for (const ProcRec& proc : procs_) proc_sum += proc_hash(proc.id);
+  std::uint64_t job_sum = 0;
+  for (const JobRec& job : jobs_) job_sum += job_hash(job);
+  return digest_of(proc_sum, job_sum, recomputed_makespan());
+}
+
+SessionStats ClusterSession::recomputed_stats() const {
+  SessionStats stats = this->stats();
+  stats.makespan = recomputed_makespan();
+  stats.lower_bound = recomputed_lower_bound();
+  stats.digest = recomputed_digest();
+  return stats;
+}
+
+std::uint64_t ClusterSession::job_hash(const JobRec& job) const {
+  const std::uint64_t words[] = {job.id, static_cast<std::uint64_t>(job.size),
+                                 static_cast<std::uint64_t>(job.move_cost),
+                                 procs_[job.proc_slot].id};
+  return hash_words(words, std::size(words));
+}
+
+std::uint64_t ClusterSession::digest_of(std::uint64_t proc_hash_sum,
+                                        std::uint64_t job_hash_sum,
+                                        Size makespan) const {
+  const std::uint64_t words[] = {kDigestTag,
+                                 procs_.size(),
+                                 jobs_.size(),
+                                 proc_hash_sum,
+                                 job_hash_sum,
+                                 static_cast<std::uint64_t>(makespan)};
+  return hash_words(words, std::size(words));
+}
+
+void ClusterSession::track(const JobRec& job) {
+  total_size_ += job.size;
+  count_size(job.size);
+  job_hash_sum_ += job_hash(job);
+}
+
+void ClusterSession::untrack(const JobRec& job) {
+  total_size_ -= job.size;
+  job_hash_sum_ -= job_hash(job);
+  if (job.size != max_size_ || --max_count_ > 0) return;
+  max_size_ = 0;
+  for (const JobRec& live : jobs_) count_size(live.size);
+}
+
+void ClusterSession::count_size(Size size) {
+  if (size > max_size_) {
+    max_size_ = size;
+    max_count_ = 0;
+  }
+  if (size == max_size_) ++max_count_;
+}
+
+void ClusterSession::move_job(JobRec& job, std::size_t target) {
+  job_hash_sum_ -= job_hash(job);
+  procs_[job.proc_slot].load -= job.size;
+  procs_[target].load += job.size;
+  job.proc_slot = target;
+  job_hash_sum_ += job_hash(job);
 }
 
 Instance ClusterSession::snapshot() const {
@@ -129,39 +214,6 @@ Instance ClusterSession::snapshot() const {
     live.initial.push_back(static_cast<ProcId>(job.proc_slot));
   }
   return live;
-}
-
-std::uint64_t ClusterSession::digest() const {
-  // Canonical encoding: stable ids in sorted order, so the digest is
-  // invariant under the internal (history-dependent) slot layout.
-  std::string bytes;
-  bytes.reserve(16 + procs_.size() * 8 + jobs_.size() * 32);
-  bytes.append("lrb-session-state");
-  std::vector<std::size_t> proc_order(procs_.size());
-  for (std::size_t i = 0; i < procs_.size(); ++i) proc_order[i] = i;
-  std::sort(proc_order.begin(), proc_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return procs_[a].id < procs_[b].id;
-            });
-  put_u64(bytes, procs_.size());
-  for (const std::size_t slot : proc_order) put_u64(bytes, procs_[slot].id);
-  std::vector<std::size_t> job_order(jobs_.size());
-  for (std::size_t i = 0; i < jobs_.size(); ++i) job_order[i] = i;
-  std::sort(job_order.begin(), job_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return jobs_[a].id < jobs_[b].id;
-            });
-  put_u64(bytes, jobs_.size());
-  for (const std::size_t slot : job_order) {
-    const JobRec& job = jobs_[slot];
-    put_u64(bytes, job.id);
-    put_i64(bytes, job.size);
-    put_i64(bytes, job.move_cost);
-    put_u64(bytes, procs_[job.proc_slot].id);
-  }
-  put_i64(bytes, makespan());
-  const cache::Fingerprint fp = cache::fingerprint(bytes);
-  return fp.hi ^ fp.lo;
 }
 
 SessionStats ClusterSession::stats() const {
@@ -204,6 +256,7 @@ void ClusterSession::remove_job_slot(std::size_t slot) {
 
 void ClusterSession::remove_proc_slot(std::size_t slot) {
   assert(procs_[slot].load == 0);
+  proc_hash_sum_ -= proc_hash(procs_[slot].id);
   proc_slots_.erase(procs_[slot].id);
   const std::size_t last = procs_.size() - 1;
   if (slot != last) {
@@ -236,12 +289,14 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
         }
         target = it->second;
       }
+      if (delta.size >= kInfSize - total_size_) return total_cap_error();
       JobRec job;
       job.id = delta.id;
       job.size = delta.size;
       job.move_cost = delta.move_cost;
       job.proc_slot = target;
       procs_[target].load += job.size;
+      track(job);
       job_slots_.emplace(job.id, jobs_.size());
       jobs_.push_back(job);
       return {};
@@ -252,8 +307,10 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
         return "unknown job: " + std::to_string(delta.id);
       }
       const std::size_t slot = it->second;
-      procs_[jobs_[slot].proc_slot].load -= jobs_[slot].size;
+      const JobRec job = jobs_[slot];
+      procs_[job.proc_slot].load -= job.size;
       remove_job_slot(slot);
+      untrack(job);
       return {};
     }
     case DeltaKind::kJobUpdate: {
@@ -263,8 +320,14 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
         return "unknown job: " + std::to_string(delta.id);
       }
       JobRec& job = jobs_[it->second];
-      procs_[job.proc_slot].load += delta.size - job.size;
+      if (delta.size - job.size >= kInfSize - total_size_) {
+        return total_cap_error();
+      }
+      const JobRec old = job;
+      procs_[job.proc_slot].load += delta.size - old.size;
       job.size = delta.size;
+      track(job);
+      untrack(old);
       return {};
     }
     case DeltaKind::kProcAdd: {
@@ -274,6 +337,7 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
       }
       proc_slots_.emplace(delta.id, procs_.size());
       procs_.push_back({delta.id, 0});
+      proc_hash_sum_ += proc_hash(delta.id);
       return {};
     }
     case DeltaKind::kProcRemove: {
@@ -281,12 +345,16 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
       if (it == proc_slots_.end()) {
         return "unknown processor: " + std::to_string(delta.id);
       }
-      if (procs_[it->second].load != 0) {
+      // Any job counts, zero-size ones too: a load of 0 is not empty.
+      const std::size_t slot = it->second;
+      if (std::any_of(jobs_.begin(), jobs_.end(), [slot](const JobRec& job) {
+            return job.proc_slot == slot;
+          })) {
         return "processor not empty (use proc-drain): " +
                std::to_string(delta.id);
       }
       if (procs_.size() == 1) return "cannot remove the last processor";
-      remove_proc_slot(it->second);
+      remove_proc_slot(slot);
       return {};
     }
     case DeltaKind::kProcDrain: {
@@ -317,11 +385,9 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
       for (const std::size_t slot : evict) {
         const std::size_t target = least_loaded_slot(victim);
         JobRec& job = jobs_[slot];
-        procs_[victim].load -= job.size;
-        procs_[target].load += job.size;
         plan.moves.push_back(
             {job.id, procs_[victim].id, procs_[target].id});
-        job.proc_slot = target;
+        move_job(job, target);
       }
       plan.makespan_after = makespan();
       remove_proc_slot(victim);
@@ -360,11 +426,9 @@ SessionPlan ClusterSession::replan(PlanReason reason, std::uint64_t seq,
     const std::size_t target = result.assignment[slot];
     JobRec& job = jobs_[slot];
     if (target == job.proc_slot) continue;
-    procs_[job.proc_slot].load -= job.size;
-    procs_[target].load += job.size;
     plan.moves.push_back(
         {job.id, procs_[job.proc_slot].id, procs_[target].id});
-    job.proc_slot = target;
+    move_job(job, target);
   }
   plan.makespan_after = makespan();
   plan.plan_seq = ++plans_emitted_;

@@ -5,7 +5,10 @@
 // client-chosen 64-bit ids, the session maintains the current assignment
 // and per-processor loads, and every applied delta (arrival, departure,
 // load change, processor add/remove/drain) updates that state in O(1)
-// amortized. Drift is tracked as "current makespan vs. the recomputed
+// amortized. The ack state is kept current the same way: the total size,
+// the largest job size (with how many jobs have it) and two sums of
+// per-record hashes, so lower_bound() and digest() cost O(1) on top of
+// makespan()'s O(m) scan. Drift is tracked as "current makespan vs. the
 // lower bounds of core/lower_bounds"; when the configured RebalanceTrigger
 // fires (imbalance ratio, delta count, or an explicit Replan delta), the
 // session plans a bounded-move repair through a caller-supplied solve
@@ -18,13 +21,16 @@
 // The server and stream::replay_serial_reference run this exact code over
 // the same inputs, so every emitted SessionPlan and every post-apply state
 // digest is byte-comparable between them — the same contract the
-// svc/cache/chaos layers already enforce for one-shot Solves.
+// svc/cache/chaos layers already enforce for one-shot Solves. The reference
+// reports the recomputed_*() values, so the comparison also checks the
+// maintained ack state against a from-scratch computation.
 //
 // Rejected deltas are first-class: a delta referencing an unknown job or
-// processor (or any other invalid transition) is rejected WITHOUT mutating
-// state, consumes its sequence slot, and the session continues. Both sides
-// of the replay comparison reject identically, so rejection is part of the
-// deterministic transcript, not an out-of-band failure.
+// processor (or any other invalid transition, e.g. one that would take the
+// total size to kInfSize) is rejected WITHOUT mutating state, consumes its
+// sequence slot, and the session continues. Both sides of the replay
+// comparison reject identically, so rejection is part of the deterministic
+// transcript, not an out-of-band failure.
 
 #pragma once
 
@@ -168,20 +174,36 @@ class ClusterSession {
   [[nodiscard]] StepResult step(const Delta& delta, std::uint64_t seq,
                                 const SolveFn& solve);
 
-  /// Makespan of the current assignment.
+  /// Makespan of the current assignment. O(m).
   [[nodiscard]] Size makespan() const;
 
-  /// max(average_load_bound, max_job_bound) of the live state, recomputed
-  /// via core/lower_bounds — the drift denominator of the imbalance
-  /// trigger and the bound reported in every ack.
+  /// max(ceil(total size / m), largest job) of the live state — exactly
+  /// core/lower_bounds' max(average_load_bound, max_job_bound) — from the
+  /// maintained total and largest size. O(1). The drift denominator of
+  /// the imbalance trigger and the bound reported in every ack.
   [[nodiscard]] Size lower_bound() const;
 
-  /// 64-bit fingerprint (cache/canonical.h hash) of the canonical state
-  /// encoding: processors and jobs sorted by stable id, plus the makespan.
-  /// Included in every ack so checkers compare state, not just plans.
+  /// 64-bit state fingerprint: hash_words (util/packed_key.h) over a tag,
+  /// the processor and job counts, the maintained sums (mod 2^64) of
+  /// per-processor hashes of the id and per-job hashes of (id, size, move
+  /// cost, processor id), and the makespan. Depends only on the live state,
+  /// not on the history or slot layout that produced it. O(1) plus
+  /// makespan(). Included in every ack so checkers compare state, not just
+  /// plans.
   [[nodiscard]] std::uint64_t digest() const;
 
   [[nodiscard]] SessionStats stats() const;
+
+  /// From-scratch O(n) recomputations of makespan(), lower_bound() and
+  /// digest() that read only the job and processor records, never the
+  /// maintained loads, total, largest size or hash sums. What the serial
+  /// reference reports, so every checker compares a server's maintained
+  /// values against independently recomputed ones.
+  [[nodiscard]] Size recomputed_makespan() const;
+  [[nodiscard]] Size recomputed_lower_bound() const;
+  [[nodiscard]] std::uint64_t recomputed_digest() const;
+  /// stats() with the three recomputed values.
+  [[nodiscard]] SessionStats recomputed_stats() const;
 
   [[nodiscard]] std::size_t num_jobs() const noexcept { return jobs_.size(); }
   [[nodiscard]] std::size_t num_procs() const noexcept {
@@ -209,6 +231,20 @@ class ClusterSession {
 
   [[nodiscard]] std::string apply(const Delta& delta, StepResult* result,
                                   std::uint64_t seq);
+  /// Digest term of one job: hash of (id, size, move cost, processor id).
+  [[nodiscard]] std::uint64_t job_hash(const JobRec& job) const;
+  /// Digest over the given hash sums and makespan (and the live counts).
+  [[nodiscard]] std::uint64_t digest_of(std::uint64_t proc_hash_sum,
+                                        std::uint64_t job_hash_sum,
+                                        Size makespan) const;
+  /// A job record enters / leaves the ack state: the total, the largest
+  /// size and the job-hash sum. untrack() rescans jobs_, which must no
+  /// longer hold the record, when the last job at the largest size leaves.
+  void track(const JobRec& job);
+  void untrack(const JobRec& job);
+  void count_size(Size size);
+  /// Relocates a job, keeping both loads and the job-hash sum current.
+  void move_job(JobRec& job, std::size_t target);
   /// Least-loaded processor (ties: lowest id), optionally excluding one
   /// slot. Returns procs_.size() when every processor is excluded.
   [[nodiscard]] std::size_t least_loaded_slot(std::size_t exclude_slot) const;
@@ -225,6 +261,13 @@ class ClusterSession {
   std::vector<ProcRec> procs_;  ///< dense slots; swap-removed on removal
   std::unordered_map<std::uint64_t, std::size_t> job_slots_;
   std::unordered_map<std::uint64_t, std::size_t> proc_slots_;
+
+  // Ack state, kept current by every mutation (see lower_bound/digest).
+  Size total_size_ = 0;
+  Size max_size_ = 0;          ///< 0 when there are no jobs
+  std::size_t max_count_ = 0;  ///< live jobs of size max_size_
+  std::uint64_t job_hash_sum_ = 0;
+  std::uint64_t proc_hash_sum_ = 0;
 
   std::uint64_t deltas_applied_ = 0;
   std::uint64_t deltas_rejected_ = 0;

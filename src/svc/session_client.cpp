@@ -180,7 +180,9 @@ std::optional<SessionClient::Ack> SessionClient::close_session(
 // reference solver and stepped over the SAME framing as the wire calls,
 // so every expected reply can be re-encoded and byte-compared — the
 // strongest form of the determinism check (full reply payloads, not just
-// plan contents).
+// plan contents). The mirror reports makespan, lower bound and digest
+// recomputed from scratch, so the server's maintained values are checked
+// against an independent computation.
 
 StreamRunResult run_session_stream(const stream::DeltaLog& log,
                                    const StreamRunOptions& options) {
@@ -226,9 +228,9 @@ StreamRunResult run_session_stream(const stream::DeltaLog& log,
   if (mirror) {
     SessionOpenReply expected;
     expected.session_id = options.session_id;
-    expected.makespan = mirror->makespan();
-    expected.lower_bound = mirror->lower_bound();
-    expected.state_digest = mirror->digest();
+    expected.makespan = mirror->recomputed_makespan();
+    expected.lower_bound = mirror->recomputed_lower_bound();
+    expected.state_digest = mirror->recomputed_digest();
     if (encode_session_open_reply(expected) != ack->raw_payload) {
       record_mismatch("open");
     }
@@ -277,9 +279,9 @@ StreamRunResult run_session_stream(const stream::DeltaLog& log,
         }
       }
       expected.last_seq = seq + count - 1;
-      expected.makespan = mirror->makespan();
-      expected.lower_bound = mirror->lower_bound();
-      expected.state_digest = mirror->digest();
+      expected.makespan = mirror->recomputed_makespan();
+      expected.lower_bound = mirror->recomputed_lower_bound();
+      expected.state_digest = mirror->recomputed_digest();
       if (session_reply_type(expected) != ack->type ||
           encode_session_delta_reply(expected) != ack->raw_payload) {
         record_mismatch("seq " + std::to_string(seq));
@@ -311,7 +313,7 @@ StreamRunResult run_session_stream(const stream::DeltaLog& log,
     // retry double-applied a frame and no fault dropped one.
     SessionStatsReply expected;
     expected.session_id = options.session_id;
-    expected.stats = mirror->stats();
+    expected.stats = mirror->recomputed_stats();
     if (encode_session_stats_reply(expected) != ack->raw_payload) {
       record_mismatch("stats");
     }

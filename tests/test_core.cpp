@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -59,6 +60,27 @@ TEST(Instance, ValidateRejectsBadShapes) {
   EXPECT_TRUE(validate(inst).has_value());
 
   EXPECT_FALSE(validate(small_fixture()).has_value());
+}
+
+TEST(Instance, ValidateCapsTheTotalSizeBelowInfSize) {
+  // Built by hand: make_instance asserts validity.
+  auto instance_of = [](std::vector<Size> sizes) {
+    Instance inst;
+    inst.move_costs.assign(sizes.size(), 1);
+    inst.initial.assign(sizes.size(), 0);
+    inst.sizes = std::move(sizes);
+    inst.num_procs = 2;
+    return inst;
+  };
+  EXPECT_FALSE(validate(instance_of({kInfSize - 1})).has_value());
+  EXPECT_FALSE(validate(instance_of({kInfSize - 6, 5})).has_value());
+  EXPECT_TRUE(validate(instance_of({kInfSize})).has_value());
+  EXPECT_TRUE(validate(instance_of({kInfSize - 5, 5})).has_value());
+  // Sums that overflow int64 are rejected, not wrapped.
+  const Size half = Size{1} << 62;
+  EXPECT_TRUE(validate(instance_of({half, half, 5})).has_value());
+  const Size max = std::numeric_limits<Size>::max();
+  EXPECT_TRUE(validate(instance_of({max, max})).has_value());
 }
 
 TEST(Assignment, LoadsMakespanMovesCost) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "stream/delta_log.h"
 #include "stream/replay.h"
 #include "stream/session.h"
+#include "util/rng.h"
 
 namespace lrb::stream {
 namespace {
@@ -56,6 +61,24 @@ StepResult must_reject(ClusterSession& session, const Delta& delta,
   EXPECT_FALSE(result.applied);
   EXPECT_FALSE(result.error.empty());
   return result;
+}
+
+Delta job_delta(DeltaKind kind, std::uint64_t id, Size size = 0,
+                std::uint64_t proc = kAutoPlace, Cost move_cost = 1) {
+  Delta delta;
+  delta.kind = kind;
+  delta.id = id;
+  delta.size = size;
+  delta.move_cost = move_cost;
+  delta.proc = proc;
+  return delta;
+}
+
+Delta proc_delta(DeltaKind kind, std::uint64_t id) {
+  Delta delta;
+  delta.kind = kind;
+  delta.id = id;
+  return delta;
 }
 
 TEST(StreamSession, OpenMirrorsTheInitialInstance) {
@@ -182,6 +205,26 @@ TEST(StreamSession, RemovingANonEmptyProcessorIsRejectedWithADrainHint) {
   EXPECT_EQ(session.num_procs(), 2u);
 }
 
+TEST(StreamSession, AProcessorHoldingOnlyZeroSizeJobsIsNotEmpty) {
+  // Its load is 0, but removing it would orphan the job: rejected like any
+  // other non-empty processor, and a drain moves the job off instead.
+  ClusterSession session = must_open(small_instance(), quiet_trigger());
+  must_apply(session, proc_delta(DeltaKind::kProcAdd, 9), 1);
+  must_apply(session, job_delta(DeltaKind::kJobArrive, 20, 0, 9), 2);
+  const StepResult result =
+      must_reject(session, proc_delta(DeltaKind::kProcRemove, 9), 3);
+  EXPECT_NE(result.error.find("drain"), std::string::npos) << result.error;
+  EXPECT_EQ(session.num_procs(), 3u);
+
+  const StepResult drained =
+      must_apply(session, proc_delta(DeltaKind::kProcDrain, 9), 4);
+  ASSERT_EQ(drained.plans.size(), 1u);
+  EXPECT_EQ(drained.plans.front().moves.size(), 1u);
+  EXPECT_EQ(session.num_procs(), 2u);
+  EXPECT_EQ(session.num_jobs(), 5u);
+  EXPECT_EQ(session.makespan(), session.recomputed_makespan());
+}
+
 TEST(StreamSession, DrainEvacuatesEveryJobAndEmitsTheForcedMoves) {
   ClusterSession session = must_open(small_instance(), quiet_trigger());
   Delta drain;
@@ -217,6 +260,308 @@ TEST(StreamSession, ExplicitReplanRespectsTheMoveBudget) {
   EXPECT_LE(plan.makespan_after, plan.makespan_before);
   EXPECT_EQ(plan.makespan_before, 14);
   EXPECT_EQ(session.makespan(), plan.makespan_after);
+}
+
+TEST(StreamSession, DeltasThatWouldOverflowTheTotalSizeAreRejected) {
+  // Loads {7, 3}: total 10. An arrival or update that takes the total to
+  // kInfSize or more is an ordinary rejection, checked without overflow.
+  ClusterSession session = must_open(small_instance(), quiet_trigger());
+  const std::uint64_t digest_before = session.digest();
+  const Size huge = std::numeric_limits<Size>::max();
+  must_reject(session, job_delta(DeltaKind::kJobArrive, 9, huge, 0), 1);
+  must_reject(session,
+              job_delta(DeltaKind::kJobArrive, 9, kInfSize - 10, 0), 2);
+  must_reject(session, job_delta(DeltaKind::kJobUpdate, 3, huge), 3);
+  // Job 3 has size 1: the update below makes the total exactly kInfSize.
+  must_reject(session, job_delta(DeltaKind::kJobUpdate, 3, kInfSize - 9), 4);
+  EXPECT_EQ(session.digest(), digest_before);
+  EXPECT_EQ(session.makespan(), 7);
+  SessionStats stats = session.stats();
+  EXPECT_EQ(stats.deltas_rejected, 4u);
+  EXPECT_EQ(stats.last_seq, 4u);
+
+  // One below the cap is accepted, and the state stays exact.
+  must_apply(session, job_delta(DeltaKind::kJobUpdate, 3, kInfSize - 10), 5);
+  EXPECT_EQ(session.makespan(), kInfSize - 8);  // processor 1: 2 + size
+  EXPECT_EQ(session.lower_bound(), kInfSize - 10);
+  EXPECT_EQ(session.lower_bound(), session.recomputed_lower_bound());
+  EXPECT_EQ(session.digest(), session.recomputed_digest());
+  must_reject(session, job_delta(DeltaKind::kJobArrive, 9, 1), 6);
+}
+
+/// Whether the maintained ack values equal their from-scratch
+/// recomputations.
+::testing::AssertionResult ack_state_matches(const ClusterSession& session) {
+  if (session.makespan() != session.recomputed_makespan()) {
+    return ::testing::AssertionFailure()
+           << "makespan " << session.makespan() << " != recomputed "
+           << session.recomputed_makespan();
+  }
+  if (session.lower_bound() != session.recomputed_lower_bound()) {
+    return ::testing::AssertionFailure()
+           << "lower bound " << session.lower_bound() << " != recomputed "
+           << session.recomputed_lower_bound();
+  }
+  if (session.digest() != session.recomputed_digest()) {
+    return ::testing::AssertionFailure() << "digest != recomputed digest";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The live ids of a session, mirrored by the test: job id -> size, and
+/// the processor ids. Replans and drains move jobs but never change sizes,
+/// so applied deltas alone keep it exact.
+struct LiveModel {
+  std::map<std::uint64_t, Size> sizes;
+  std::vector<std::uint64_t> procs;
+  std::uint64_t next_job = 0;
+  std::uint64_t next_proc = 0;
+
+  void apply(const Delta& delta) {
+    switch (delta.kind) {
+      case DeltaKind::kJobArrive:
+      case DeltaKind::kJobUpdate:
+        sizes[delta.id] = delta.size;
+        break;
+      case DeltaKind::kJobDepart:
+        sizes.erase(delta.id);
+        break;
+      case DeltaKind::kProcAdd:
+        procs.push_back(delta.id);
+        break;
+      case DeltaKind::kProcRemove:
+      case DeltaKind::kProcDrain:
+        procs.erase(std::find(procs.begin(), procs.end(), delta.id));
+        break;
+      case DeltaKind::kReplan:
+        break;
+    }
+  }
+};
+
+/// One random delta over `model`: every kind, auto-placed and targeted
+/// arrivals, zero sizes, sizes tying or beating the largest job,
+/// departures of the largest job, and deltas that must be rejected
+/// (unknown or duplicate ids, non-empty removals, total-size overflow).
+Delta random_delta(Rng& rng, LiveModel& model) {
+  const Size kHuge = std::numeric_limits<Size>::max();
+  Size largest = 0;
+  std::uint64_t largest_id = model.next_job;  // unknown when no jobs
+  for (const auto& [id, size] : model.sizes) {
+    if (size >= largest) {
+      largest = size;
+      largest_id = id;
+    }
+  }
+  auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  auto any_job = [&]() -> std::uint64_t {
+    if (model.sizes.empty()) return model.next_job;
+    auto it = model.sizes.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(pick(model.sizes.size())));
+    return it->first;
+  };
+  auto any_proc = [&] { return model.procs[pick(model.procs.size())]; };
+  auto any_size = [&]() -> Size {
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+        return 0;
+      case 1:
+        return largest;
+      case 2:
+        return largest + rng.uniform_int(1, 8);
+      case 3:
+        return rng.bernoulli(0.1) ? kHuge : 1;
+      default:
+        return rng.uniform_int(0, std::max<Size>(largest, 1));
+    }
+  };
+  const std::int64_t roll = rng.uniform_int(0, 99);
+  if (roll < 30) {
+    const std::uint64_t id =
+        rng.bernoulli(0.05) ? any_job() : model.next_job++;
+    const std::uint64_t proc = rng.bernoulli(0.5)   ? kAutoPlace
+                               : rng.bernoulli(0.05) ? ~std::uint64_t{1}
+                                                     : any_proc();
+    const Size size = any_size();
+    return job_delta(DeltaKind::kJobArrive, id, size, proc,
+                     rng.uniform_int(0, 4));
+  }
+  if (roll < 48) {
+    const std::uint64_t id = rng.bernoulli(0.5)    ? largest_id
+                             : rng.bernoulli(0.05) ? model.next_job
+                                                   : any_job();
+    return job_delta(DeltaKind::kJobDepart, id);
+  }
+  if (roll < 70) {
+    const std::uint64_t id = rng.bernoulli(0.3) ? largest_id : any_job();
+    return job_delta(DeltaKind::kJobUpdate, id, any_size());
+  }
+  if (roll < 78) {
+    const std::uint64_t id =
+        rng.bernoulli(0.1) ? any_proc() : 1000 + model.next_proc++;
+    return proc_delta(DeltaKind::kProcAdd, id);
+  }
+  if (roll < 86) {
+    // The newest processor is the likeliest to be empty.
+    const std::uint64_t id =
+        rng.bernoulli(0.5) ? model.procs.back() : any_proc();
+    return proc_delta(DeltaKind::kProcRemove, id);
+  }
+  if (roll < 91) return proc_delta(DeltaKind::kProcDrain, any_proc());
+  return proc_delta(DeltaKind::kReplan, 0);
+}
+
+TEST(StreamSession, MaintainedAckStateEqualsTheRecomputationAfterEveryStep) {
+  constexpr std::uint64_t kSeeds = 20;
+  constexpr std::uint64_t kDeltas = 500;
+  std::map<DeltaKind, std::size_t> applied;
+  std::map<PlanReason, std::size_t> plans;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    TriggerConfig config;
+    config.spec = seed % 2 == 0 ? solver::BackendId::kBestOf
+                                : solver::BackendId::kGreedy;
+    config.imbalance_ratio = 1.5;
+    config.delta_count = 8;
+    config.move_frac = 0.2;
+    const Instance initial = mixed_corpus_instance(seed, seed);
+    ClusterSession session = must_open(initial, config);
+    ASSERT_TRUE(ack_state_matches(session)) << "seed " << seed << " open";
+    LiveModel model;
+    for (std::size_t j = 0; j < initial.num_jobs(); ++j) {
+      model.sizes[j] = initial.sizes[j];
+    }
+    for (ProcId p = 0; p < initial.num_procs; ++p) model.procs.push_back(p);
+    model.next_job = initial.num_jobs();
+    Rng rng(seed);
+    const SolveFn solve = serial_reference_solver(false);
+    for (std::uint64_t seq = 1; seq <= kDeltas; ++seq) {
+      const Delta delta = random_delta(rng, model);
+      const StepResult step = session.step(delta, seq, solve);
+      ASSERT_TRUE(ack_state_matches(session))
+          << "seed " << seed << " seq " << seq << " "
+          << delta_kind_name(delta.kind) << " id " << delta.id << " size "
+          << delta.size << (step.applied ? "" : " (rejected)");
+      if (step.applied) {
+        model.apply(delta);
+        ++applied[delta.kind];
+      } else {
+        ++rejected;
+      }
+      for (const SessionPlan& plan : step.plans) ++plans[plan.reason];
+    }
+  }
+  // The mix reached every path it claims to cover.
+  for (const DeltaKind kind :
+       {DeltaKind::kJobArrive, DeltaKind::kJobDepart, DeltaKind::kJobUpdate,
+        DeltaKind::kProcAdd, DeltaKind::kProcRemove, DeltaKind::kProcDrain,
+        DeltaKind::kReplan}) {
+    EXPECT_GT(applied[kind], 0u) << delta_kind_name(kind);
+  }
+  for (const PlanReason reason :
+       {PlanReason::kImbalance, PlanReason::kDeltaCount, PlanReason::kExplicit,
+        PlanReason::kDrain}) {
+    EXPECT_GT(plans[reason], 0u) << plan_reason_name(reason);
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(StreamSession, DigestDependsOnTheLiveStateNotItsHistory) {
+  const TriggerConfig config = quiet_trigger();
+
+  // Arrivals in two orders.
+  ClusterSession a = must_open(small_instance(), config);
+  ClusterSession b = must_open(small_instance(), config);
+  const Delta x = job_delta(DeltaKind::kJobArrive, 10, 5, 1);
+  const Delta y = job_delta(DeltaKind::kJobArrive, 11, 2, 0);
+  must_apply(a, x, 1);
+  must_apply(a, y, 2);
+  must_apply(b, y, 1);
+  must_apply(b, x, 2);
+  EXPECT_EQ(a.digest(), b.digest());
+
+  // Processors added in two orders.
+  must_apply(a, proc_delta(DeltaKind::kProcAdd, 7), 3);
+  must_apply(a, proc_delta(DeltaKind::kProcAdd, 8), 4);
+  must_apply(b, proc_delta(DeltaKind::kProcAdd, 8), 3);
+  must_apply(b, proc_delta(DeltaKind::kProcAdd, 7), 4);
+  EXPECT_EQ(a.digest(), b.digest());
+
+  // Depart then re-arrive: job 0 comes back in the last slot, so the slot
+  // layout differs from the open state but the live state does not.
+  ClusterSession c = must_open(small_instance(), config);
+  const std::uint64_t open_digest = c.digest();
+  must_apply(c, job_delta(DeltaKind::kJobDepart, 0), 1);
+  EXPECT_NE(c.digest(), open_digest);
+  must_apply(c, job_delta(DeltaKind::kJobArrive, 0, 4, 0), 2);
+  EXPECT_NE(c.snapshot().sizes, small_instance().sizes);
+  EXPECT_EQ(c.digest(), open_digest);
+
+  // A replanned session and one opened directly at the replanned state
+  // (no departures or processor changes, so ids equal slots).
+  TriggerConfig budget = quiet_trigger();
+  budget.move_budget = 2;
+  ClusterSession replanned =
+      must_open(make_instance({5, 4, 3, 2}, {0, 0, 0, 0}, 2), budget);
+  const StepResult step =
+      must_apply(replanned, proc_delta(DeltaKind::kReplan, 0), 1);
+  ASSERT_EQ(step.plans.size(), 1u);
+  ASSERT_FALSE(step.plans.front().moves.empty());
+  ClusterSession direct = must_open(replanned.snapshot(), budget);
+  EXPECT_EQ(replanned.digest(), direct.digest());
+
+  // Likewise a drain, against a history that reaches the same state by
+  // arriving every job on processor 1 and removing the empty processor 0.
+  ClusterSession drained = must_open(small_instance(), config);
+  must_apply(drained, proc_delta(DeltaKind::kProcDrain, 0), 1);
+  ASSERT_EQ(drained.num_procs(), 1u);
+  ClusterSession rebuilt = must_open(make_instance({}, {}, 1), config);
+  must_apply(rebuilt, proc_delta(DeltaKind::kProcAdd, 1), 1);
+  const Instance initial = small_instance();
+  for (std::size_t j = 0; j < initial.num_jobs(); ++j) {
+    must_apply(rebuilt,
+               job_delta(DeltaKind::kJobArrive, j, initial.sizes[j], 1),
+               2 + j);
+  }
+  must_apply(rebuilt, proc_delta(DeltaKind::kProcRemove, 0), 6);
+  EXPECT_EQ(drained.digest(), rebuilt.digest());
+}
+
+TEST(StreamSession, DigestChangesWithAnyOneField) {
+  // Loads {1, 2, 5}. Each variant changes one field of one record and
+  // keeps the makespan, so only the record hashes can tell them apart.
+  const Instance base = make_instance({1, 5, 2}, {1, 1, 1}, {0, 2, 1}, 3);
+  Instance bigger = base;
+  bigger.sizes[0] = 2;
+  Instance costlier = base;
+  costlier.move_costs[0] = 3;
+  Instance moved = base;
+  moved.initial[0] = 1;
+  std::vector<std::uint64_t> digests;
+  for (const Instance& instance : {base, bigger, costlier, moved}) {
+    ClusterSession session = must_open(instance, quiet_trigger());
+    EXPECT_EQ(session.makespan(), 5);
+    digests.push_back(session.digest());
+  }
+  // One job id: job 0 departs and returns as job 9, otherwise identical.
+  ClusterSession renamed_job = must_open(base, quiet_trigger());
+  must_apply(renamed_job, job_delta(DeltaKind::kJobDepart, 0), 1);
+  must_apply(renamed_job, job_delta(DeltaKind::kJobArrive, 9, 1, 0), 2);
+  digests.push_back(renamed_job.digest());
+  // One processor id: an empty processor 7 versus an empty processor 8.
+  for (const std::uint64_t id : {std::uint64_t{7}, std::uint64_t{8}}) {
+    ClusterSession session = must_open(base, quiet_trigger());
+    must_apply(session, proc_delta(DeltaKind::kProcAdd, id), 1);
+    digests.push_back(session.digest());
+  }
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    for (std::size_t j = i + 1; j < digests.size(); ++j) {
+      EXPECT_NE(digests[i], digests[j]) << "variants " << i << " and " << j;
+    }
+  }
 }
 
 TEST(StreamTriggers, DeltaCountFiresEveryNAppliedDeltas) {

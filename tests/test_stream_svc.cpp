@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -389,6 +390,53 @@ TEST(SessionService, OversizedDeltaFrameIsRejectedNotFatal) {
   const auto decoded = decode_session_delta_reply(good.payload, &error);
   ASSERT_TRUE(decoded) << error;
   EXPECT_EQ(decoded->last_seq, 1u);
+}
+
+TEST(SessionService, OverflowingSizesAreRejectedAndTheStreamStaysOpen) {
+  StreamServer server(1);
+  std::string error;
+  auto client = Client::connect_unix(server.path(), &error);
+  ASSERT_TRUE(client) << error;
+
+  // An initial instance whose total size overflows int64 is a BadRequest.
+  SessionOpenRequest overflowing = sample_open(6);
+  const Size half = Size{1} << 62;
+  overflowing.instance.sizes = {half, half, 5};  // make_instance asserts
+  overflowing.instance.move_costs = {1, 1, 1};
+  overflowing.instance.initial = {0, 0, 1};
+  EXPECT_EQ(error_code_of(raw_call(*client, MsgType::kSessionOpen, 1,
+                                   encode_session_open_request(overflowing))),
+            ErrorCode::kBadRequest);
+
+  // Same connection: a valid open, then an arrival that would overflow the
+  // live total is an ordinary rejected delta that leaves the state alone.
+  ASSERT_EQ(raw_call(*client, MsgType::kSessionOpen, 2,
+                     encode_session_open_request(sample_open(6)))
+                .type,
+            MsgType::kSessionOpenOk);
+  SessionDeltaRequest frame = arrivals_frame(6, 1, 100, 1);
+  frame.deltas[0].size = std::numeric_limits<Size>::max();
+  frame.deltas[0].proc = 0;
+  const RawReply rejected = raw_call(*client, MsgType::kSessionDelta, 3,
+                                     encode_session_delta_request(frame));
+  ASSERT_EQ(rejected.type, MsgType::kSessionDeltaOk);
+  const auto ack = decode_session_delta_reply(rejected.payload, &error);
+  ASSERT_TRUE(ack) << error;
+  EXPECT_EQ(ack->applied, 0u);
+  EXPECT_EQ(ack->rejected, 1u);
+  EXPECT_NE(ack->first_error.find("total job size"), std::string::npos)
+      << ack->first_error;
+  EXPECT_EQ(ack->makespan, 7);  // loads {7, 3}, as opened
+
+  const RawReply good =
+      raw_call(*client, MsgType::kSessionDelta, 4,
+               encode_session_delta_request(arrivals_frame(6, 2, 100, 1)));
+  ASSERT_TRUE(good.type == MsgType::kSessionDeltaOk ||
+              good.type == MsgType::kSessionPlan);
+  const auto applied = decode_session_delta_reply(good.payload, &error);
+  ASSERT_TRUE(applied) << error;
+  EXPECT_EQ(applied->last_seq, 2u);
+  EXPECT_EQ(applied->applied, 1u);
 }
 
 TEST(SessionService, SessionsRespectTheCapacityLimit) {

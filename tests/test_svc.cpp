@@ -377,6 +377,34 @@ TEST(SvcLoopback, OutOfRangeConsumedKnobsAreBadRequestsOnAnOpenConnection) {
   EXPECT_EQ(ts.registry().counter("svc.bad_requests").value(), bad.size());
 }
 
+TEST(SvcLoopback, SolveWhoseTotalSizeOverflowsIsABadRequestOnAnOpenConnection) {
+  // Sizes summing past int64 once got wrong answers (signed overflow);
+  // lrb::validate caps the total below kInfSize, so decode rejects them.
+  TestServer ts;
+  Client client = ts.connect();
+  SolveRequest overflowing;
+  overflowing.spec = solver::BackendId::kBestOf;
+  const Size half = Size{1} << 62;
+  overflowing.instance.sizes = {half, half, 5};
+  overflowing.instance.move_costs = {1, 1, 1};
+  overflowing.instance.initial = {0, 0, 1};
+  overflowing.instance.num_procs = 2;
+  overflowing.k = 1;
+  std::string error;
+  const auto rejected = client.solve(overflowing, 1, &error);
+  ASSERT_TRUE(rejected) << error;
+  EXPECT_FALSE(rejected->result);
+  ASSERT_TRUE(rejected->server_error);
+  EXPECT_EQ(rejected->server_error->code, ErrorCode::kBadRequest);
+
+  const SolveRequest valid = sample_request(2);
+  const auto served = client.solve(valid, 2, &error);
+  ASSERT_TRUE(served) << error;
+  ASSERT_TRUE(served->result);
+  EXPECT_EQ(served->raw_payload, expected_reply_payload(valid));
+  EXPECT_EQ(ts.registry().counter("svc.bad_requests").value(), 1u);
+}
+
 TEST(SvcLoopback, ConcurrentClientsStayDeterministic) {
   ServerOptions options;
   options.max_batch = 4;  // force multi-request coalescing across ticks
