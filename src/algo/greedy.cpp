@@ -9,26 +9,37 @@
 namespace lrb {
 
 RebalanceResult greedy_rebalance(const Instance& instance, std::int64_t k,
-                                 GreedyOrder order, GreedyStats* stats) {
-  assert(k >= 0);
-  Assignment assignment = instance.initial;
-  std::vector<Size> load = instance.initial_loads();
+                                 GreedyOrder reinsertion, GreedyStats* stats) {
+  return greedy_rebalance(instance, ProcOrder(instance), k, reinsertion,
+                          stats);
+}
 
-  // Step 1: k removals, largest job off the heaviest processor. Jobs per
-  // processor are pre-sorted descending; `next[p]` walks that order.
-  auto by_proc = instance.jobs_by_proc();
-  for (auto& jobs : by_proc) {
-    std::sort(jobs.begin(), jobs.end(), [&](JobId a, JobId b) {
-      if (instance.sizes[a] != instance.sizes[b]) {
-        return instance.sizes[a] > instance.sizes[b];
-      }
-      return a < b;
-    });
-  }
-  std::vector<std::size_t> next(instance.num_procs, 0);
+RebalanceResult greedy_rebalance(const Instance& instance,
+                                 const ProcOrder& order, std::int64_t k,
+                                 GreedyOrder reinsertion, GreedyStats* stats) {
+  assert(k >= 0);
+  const ProcId m = instance.num_procs;
+  Assignment assignment = instance.initial;
+
+  // Step 1: k removals, largest job off the heaviest processor, victims in
+  // (size descending, id ascending) order per processor. Each ascending
+  // group is consumed from its back one equal-size run at a time, front to
+  // back inside the run; the unconsumed jobs are [0, begin) and [next, end).
+  struct Run {
+    std::size_t begin = 0;
+    std::size_t next = 0;
+    std::size_t end = 0;
+  };
+  std::vector<Run> runs(m);
+  std::vector<Size> load(m);
   // Max-heap with lazy deletion: entries are (load, proc) snapshots.
   std::priority_queue<std::pair<Size, ProcId>> max_heap;
-  for (ProcId p = 0; p < instance.num_procs; ++p) max_heap.emplace(load[p], p);
+  for (ProcId p = 0; p < m; ++p) {
+    const std::size_t count = order.jobs(p).size();
+    runs[p] = {count, count, count};
+    load[p] = order.load(p);
+    max_heap.emplace(load[p], p);
+  }
 
   std::vector<JobId> removed;
   removed.reserve(static_cast<std::size_t>(std::min<std::int64_t>(
@@ -39,13 +50,22 @@ RebalanceResult greedy_rebalance(const Instance& instance, std::int64_t k,
       max_heap.pop();
       continue;
     }
-    if (next[p] >= by_proc[p].size()) {
-      // The heaviest processor has no jobs left: every processor is empty
-      // of removable work at or above this load; stop early.
-      break;
+    Run& run = runs[p];
+    if (run.next == run.end) {
+      if (run.begin == 0) {
+        // The heaviest processor has no jobs left: every processor is empty
+        // of removable work at or above this load; stop early.
+        break;
+      }
+      const auto sizes = order.sizes(p);
+      run.end = run.begin;
+      while (run.begin > 0 && sizes[run.begin - 1] == sizes[run.end - 1]) {
+        --run.begin;
+      }
+      run.next = run.begin;
     }
     max_heap.pop();
-    const JobId victim = by_proc[p][next[p]++];
+    const JobId victim = order.jobs(p)[run.next++];
     load[p] -= instance.sizes[victim];
     removed.push_back(victim);
     max_heap.emplace(load[p], p);
@@ -58,7 +78,7 @@ RebalanceResult greedy_rebalance(const Instance& instance, std::int64_t k,
   }
 
   // Step 2: reinsert in the requested order onto the min-loaded processor.
-  switch (order) {
+  switch (reinsertion) {
     case GreedyOrder::kAsRemoved:
       break;
     case GreedyOrder::kLargestFirst:
@@ -74,7 +94,7 @@ RebalanceResult greedy_rebalance(const Instance& instance, std::int64_t k,
   }
   using Entry = std::pair<Size, ProcId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> min_heap;
-  for (ProcId p = 0; p < instance.num_procs; ++p) min_heap.emplace(load[p], p);
+  for (ProcId p = 0; p < m; ++p) min_heap.emplace(load[p], p);
   for (JobId j : removed) {
     auto [l, p] = min_heap.top();
     min_heap.pop();

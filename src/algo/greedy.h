@@ -16,6 +16,7 @@
 
 #include "core/assignment.h"
 #include "core/instance.h"
+#include "core/proc_order.h"
 
 namespace lrb {
 
@@ -36,7 +37,13 @@ struct GreedyStats {
 /// Runs GREEDY with move budget k. The result relocates at most k jobs.
 [[nodiscard]] RebalanceResult greedy_rebalance(
     const Instance& instance, std::int64_t k,
-    GreedyOrder order = GreedyOrder::kLargestFirst,
+    GreedyOrder reinsertion = GreedyOrder::kLargestFirst,
+    GreedyStats* stats = nullptr);
+
+/// The same, over `instance`'s prebuilt size order: no sort of its own.
+[[nodiscard]] RebalanceResult greedy_rebalance(
+    const Instance& instance, const ProcOrder& order, std::int64_t k,
+    GreedyOrder reinsertion = GreedyOrder::kLargestFirst,
     GreedyStats* stats = nullptr);
 
 }  // namespace lrb

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <span>
 #include <vector>
 
 #include "algo/thresholds.h"
@@ -13,11 +12,7 @@
 namespace lrb {
 
 void MPartitionScratch::warm(std::size_t max_jobs, ProcId max_procs) {
-  jobs.reserve(max_jobs);
-  sizes_asc.reserve(max_jobs);
-  prefix.reserve(max_jobs);
-  offset.reserve(static_cast<std::size_t>(max_procs) + 1);
-  cursor.reserve(static_cast<std::size_t>(max_procs) + 1);
+  order.reserve(max_jobs, max_procs);
   events.reserve(3 * max_jobs);
   num_large.reserve(max_procs);
   a.reserve(max_procs);
@@ -91,89 +86,19 @@ class CSelector {
   std::vector<std::int64_t>& sum_;
 };
 
-/// Processor p's ascending-size segment of one of the flat per-job arrays.
-std::span<const Size> segment(const std::vector<Size>& flat,
-                              const MPartitionScratch& s, ProcId p) {
-  return std::span<const Size>(flat.data() + s.offset[p],
-                               s.offset[p + 1] - s.offset[p]);
-}
-
-/// Fills the scratch's static scan data: job ids grouped per processor
-/// (counting sort) and sorted by ascending size, flat size / prefix-sum
-/// segments, and the value-sorted event list of thresholds above `start`.
-void build_static(const Instance& instance, Size start, MPartitionScratch& s) {
-  const std::size_t n = instance.num_jobs();
-  const ProcId m = instance.num_procs;
-  s.offset.assign(static_cast<std::size_t>(m) + 1, 0);
-  for (ProcId p : instance.initial) ++s.offset[p + 1];
-  for (ProcId p = 0; p < m; ++p) s.offset[p + 1] += s.offset[p];
-  s.cursor.assign(s.offset.begin(), s.offset.end() - 1);
-  s.jobs.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    s.jobs[s.cursor[instance.initial[j]]++] = static_cast<JobId>(j);
+/// Fills `events` with the value-sorted thresholds above `start` of every
+/// processor's ascending group.
+void build_events(const ProcOrder& order, Size start,
+                  std::vector<ThresholdEvent>& events) {
+  events.clear();
+  events.reserve(3 * order.num_jobs());
+  for (ProcId p = 0; p < order.num_procs(); ++p) {
+    append_threshold_events(order.sizes(p), order.prefix(p), p, start, events);
   }
-  s.sizes_asc.resize(n);
-  s.prefix.resize(n);
-  s.events.clear();
-  s.events.reserve(3 * n);
-  for (ProcId p = 0; p < m; ++p) {
-    const auto lo = static_cast<std::ptrdiff_t>(s.offset[p]);
-    const auto hi = static_cast<std::ptrdiff_t>(s.offset[p + 1]);
-    std::sort(s.jobs.begin() + lo, s.jobs.begin() + hi,
-              [&](JobId x, JobId y) {
-                if (instance.sizes[x] != instance.sizes[y]) {
-                  return instance.sizes[x] < instance.sizes[y];
-                }
-                return x < y;
-              });
-    Size acc = 0;
-    for (auto t = lo; t < hi; ++t) {
-      const auto u = static_cast<std::size_t>(t);
-      s.sizes_asc[u] = instance.sizes[s.jobs[u]];
-      acc += s.sizes_asc[u];
-      s.prefix[u] = acc;
-    }
-    append_threshold_events(segment(s.sizes_asc, s, p), segment(s.prefix, s, p),
-                            p, start, s.events);
-  }
-  std::sort(s.events.begin(), s.events.end(),
+  std::sort(events.begin(), events.end(),
             [](const ThresholdEvent& x, const ThresholdEvent& y) {
               return x.value < y.value;
             });
-}
-
-struct ProcSnapshot {
-  std::int64_t num_large = 0;
-  std::int64_t a = 0;
-  std::int64_t b = 0;
-};
-
-/// Recomputes (num_large, a, b) of one processor at guess T via three
-/// binary searches; O(log n_p). Pure in (segment data, T) — the property
-/// that lets parallel chunks recompute their entry state exactly.
-ProcSnapshot refresh_at(std::span<const Size> q, std::span<const Size> pref,
-                        Size T) {
-  ProcSnapshot out;
-  const auto num_jobs = static_cast<std::int64_t>(q.size());
-  // #small = #{ j : 2*q_j <= T }.
-  const auto r = static_cast<std::int64_t>(
-      std::upper_bound(q.begin(), q.end(), T,
-                       [](Size t, Size sz) { return t < 2 * sz; }) -
-      q.begin());
-  out.num_large = num_jobs - r;
-  // a: longest small prefix with 2*sum <= T.
-  const auto small_keep = static_cast<std::int64_t>(
-      std::upper_bound(pref.begin(), pref.begin() + r, T,
-                       [](Size t, Size sz) { return t < 2 * sz; }) -
-      pref.begin());
-  out.a = r - small_keep;
-  // b: the post-Step-1 job list is the small prefix plus (if any large) the
-  // smallest large job, i.e. the full ascending prefix of length r(+1).
-  const std::int64_t eff = r + (out.num_large > 0 ? 1 : 0);
-  const auto all_keep = static_cast<std::int64_t>(
-      std::upper_bound(pref.begin(), pref.begin() + eff, T) - pref.begin());
-  out.b = eff - all_keep;
-  return out;
 }
 
 /// Aggregate scan state at the current guess. Per-processor vectors and the
@@ -186,42 +111,27 @@ struct ScanState {
       : num_large(nl), a(av), b(bv), selector(cnt, sum, max_abs) {}
 
   /// Initializes every processor at guess T; the result is a pure function
-  /// of (static data, T).
-  void init(const MPartitionScratch& s, ProcId procs, Size T) {
+  /// of (order, T).
+  void init(const ProcOrder& order, Size T) {
+    const ProcId procs = order.num_procs();
     num_large.assign(procs, 0);
     a.assign(procs, 0);
     b.assign(procs, 0);
     large_total = 0;
     procs_with_large = 0;
     sum_b = 0;
-    for (ProcId p = 0; p < procs; ++p) {
-      const ProcSnapshot ps =
-          refresh_at(segment(s.sizes_asc, s, p), segment(s.prefix, s, p), T);
-      num_large[p] = ps.num_large;
-      a[p] = ps.a;
-      b[p] = ps.b;
-      large_total += ps.num_large;
-      if (ps.num_large > 0) ++procs_with_large;
-      sum_b += ps.b;
-      selector.add(ps.a - ps.b, +1);
-    }
+    for (ProcId p = 0; p < procs; ++p) insert(p, partition_counts(order, p, T));
   }
 
-  /// Advances processor p to guess T (one threshold event).
-  void apply(const MPartitionScratch& s, ProcId p, Size T) {
+  /// Advances processor p to guess T (one threshold event). Each processor's
+  /// counts at T are a pure function of (its group, T) — the property that
+  /// lets parallel chunks recompute their entry state exactly.
+  void apply(const ProcOrder& order, ProcId p, Size T) {
     large_total -= num_large[p];
     if (num_large[p] > 0) --procs_with_large;
     sum_b -= b[p];
     selector.add(a[p] - b[p], -1);
-    const ProcSnapshot ps =
-        refresh_at(segment(s.sizes_asc, s, p), segment(s.prefix, s, p), T);
-    num_large[p] = ps.num_large;
-    a[p] = ps.a;
-    b[p] = ps.b;
-    large_total += ps.num_large;
-    if (ps.num_large > 0) ++procs_with_large;
-    sum_b += ps.b;
-    selector.add(ps.a - ps.b, +1);
+    insert(p, partition_counts(order, p, T));
   }
 
   [[nodiscard]] std::int64_t k_hat(std::int64_t m) const {
@@ -237,6 +147,17 @@ struct ScanState {
   std::int64_t large_total = 0;
   std::int64_t procs_with_large = 0;
   std::int64_t sum_b = 0;
+
+ private:
+  void insert(ProcId p, const PartitionCounts& counts) {
+    num_large[p] = counts.num_large;
+    a[p] = counts.a;
+    b[p] = counts.b;
+    large_total += counts.num_large;
+    if (counts.num_large > 0) ++procs_with_large;
+    sum_b += counts.b;
+    selector.add(counts.a - counts.b, +1);
+  }
 };
 
 struct Acceptance {
@@ -245,9 +166,10 @@ struct Acceptance {
   std::size_t guesses = 0;
 };
 
-RebalanceResult commit(const Instance& instance, const Acceptance& accepted,
-                       Size start, MPartitionStats* stats) {
-  auto outcome = partition_rebalance_at(instance, accepted.threshold);
+RebalanceResult commit(const Instance& instance, const ProcOrder& order,
+                       const Acceptance& accepted, Size start,
+                       MPartitionStats* stats) {
+  auto outcome = partition_rebalance_at(instance, order, accepted.threshold);
   assert(outcome.feasible);
   assert(outcome.removals == accepted.removals);
   if (stats != nullptr) {
@@ -261,18 +183,20 @@ RebalanceResult commit(const Instance& instance, const Acceptance& accepted,
 
 /// The serial incremental sweep over the scratch's prepared event list,
 /// starting from (and first evaluating) the certified lower bound.
-RebalanceResult sweep_serial(const Instance& instance, std::int64_t k,
-                             Size start, MPartitionScratch& s,
+RebalanceResult sweep_serial(const Instance& instance, const ProcOrder& order,
+                             std::int64_t k, Size start, MPartitionScratch& s,
                              MPartitionStats* stats) {
   const auto n = static_cast<std::int64_t>(instance.num_jobs());
   const auto m = static_cast<std::int64_t>(instance.num_procs);
   ScanState state(s.num_large, s.a, s.b, s.sel_cnt, s.sel_sum, n + 1);
-  state.init(s, instance.num_procs, start);
+  state.init(order, start);
 
   std::size_t guesses = 1;
   {
     const std::int64_t kh = state.k_hat(m);
-    if (kh <= k) return commit(instance, {start, kh, guesses}, start, stats);
+    if (kh <= k) {
+      return commit(instance, order, {start, kh, guesses}, start, stats);
+    }
   }
 
   std::size_t i = 0;
@@ -280,12 +204,14 @@ RebalanceResult sweep_serial(const Instance& instance, std::int64_t k,
     const Size value = s.events[i].value;
     // Apply every event at this threshold, touching each processor once.
     while (i < s.events.size() && s.events[i].value == value) {
-      state.apply(s, s.events[i].proc, value);
+      state.apply(order, s.events[i].proc, value);
       ++i;
     }
     ++guesses;
     const std::int64_t kh = state.k_hat(m);
-    if (kh <= k) return commit(instance, {value, kh, guesses}, start, stats);
+    if (kh <= k) {
+      return commit(instance, order, {value, kh, guesses}, start, stats);
+    }
   }
   // Unreachable: at the largest candidate every processor fits within T and
   // no job is large, so k_hat = 0 <= k.
@@ -304,22 +230,39 @@ RebalanceResult m_partition_rebalance(const Instance& instance, std::int64_t k,
 RebalanceResult m_partition_rebalance(const Instance& instance, std::int64_t k,
                                       MPartitionScratch& scratch,
                                       MPartitionStats* stats) {
+  scratch.order.build(instance);
+  return m_partition_rebalance(instance, scratch.order, k, scratch, stats);
+}
+
+RebalanceResult m_partition_rebalance(const Instance& instance,
+                                      const ProcOrder& order, std::int64_t k,
+                                      MPartitionScratch& scratch,
+                                      MPartitionStats* stats) {
   assert(k >= 0);
-  const Size start = combined_lower_bound(instance, k);
-  build_static(instance, start, scratch);
-  return sweep_serial(instance, k, start, scratch, stats);
+  const Size start = combined_lower_bound(order, k);
+  build_events(order, start, scratch.events);
+  return sweep_serial(instance, order, k, start, scratch, stats);
 }
 
 RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
                                                std::int64_t k, ThreadPool& pool,
                                                MPartitionStats* stats,
                                                std::size_t chunks) {
+  return m_partition_rebalance_parallel(instance, ProcOrder(instance), k, pool,
+                                        stats, chunks);
+}
+
+RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
+                                               const ProcOrder& order,
+                                               std::int64_t k, ThreadPool& pool,
+                                               MPartitionStats* stats,
+                                               std::size_t chunks) {
   assert(k >= 0);
   const auto n = static_cast<std::int64_t>(instance.num_jobs());
   const auto m = static_cast<std::int64_t>(instance.num_procs);
-  const Size start = combined_lower_bound(instance, k);
-  MPartitionScratch s;
-  build_static(instance, start, s);
+  const Size start = combined_lower_bound(order, k);
+  MPartitionScratch s;  // scan buffers only; `order` is the size order
+  build_events(order, start, s.events);
 
   // Distinct candidate values; chunk boundaries never split a value, so
   // every chunk evaluates whole guesses only.
@@ -342,15 +285,17 @@ RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
                      : 1;
   }
   num_chunks = std::max<std::size_t>(std::min(num_chunks, distinct), 1);
-  if (num_chunks <= 1) return sweep_serial(instance, k, start, s, stats);
+  if (num_chunks <= 1) {
+    return sweep_serial(instance, order, k, start, s, stats);
+  }
 
   // The certified lower bound is evaluated first, serially, exactly as the
   // serial scan does (guess #1).
   {
     ScanState state(s.num_large, s.a, s.b, s.sel_cnt, s.sel_sum, n + 1);
-    state.init(s, instance.num_procs, start);
+    state.init(order, start);
     const std::int64_t kh = state.k_hat(m);
-    if (kh <= k) return commit(instance, {start, kh, 1}, start, stats);
+    if (kh <= k) return commit(instance, order, {start, kh, 1}, start, stats);
   }
 
   struct ChunkHit {
@@ -381,7 +326,7 @@ RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
     // reproduces the serial sweep's state there exactly.
     std::size_t d = d_lo;
     Size value = s.events[e_lo].value;
-    state.init(s, instance.num_procs, value);
+    state.init(order, value);
     std::size_t i = e_lo;
     while (i < e_hi && s.events[i].value == value) ++i;  // folded into init
     for (;;) {
@@ -398,7 +343,7 @@ RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
       if (i >= e_hi) return;
       value = s.events[i].value;
       while (i < e_hi && s.events[i].value == value) {
-        state.apply(s, s.events[i].proc, value);
+        state.apply(order, s.events[i].proc, value);
         ++i;
       }
       ++d;
@@ -410,7 +355,7 @@ RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
     if (hits[c].accepted) {
       // Serial guess count: 1 for the start threshold plus one per distinct
       // value up to and including the accepted one.
-      return commit(instance,
+      return commit(instance, order,
                     {hits[c].value, hits[c].removals,
                      hits[c].distinct_index + 2},
                     start, stats);

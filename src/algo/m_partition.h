@@ -36,6 +36,7 @@
 #include "algo/thresholds.h"
 #include "core/assignment.h"
 #include "core/instance.h"
+#include "core/proc_order.h"
 
 namespace lrb {
 
@@ -52,15 +53,12 @@ struct MPartitionStats {
 /// of m_partition_rebalance lands in these vectors, so a warmed scratch
 /// makes steady-state solving allocation-free in the scan hot path (the
 /// certified lower bound and the single committed PARTITION construction
-/// still allocate their own small temporaries / the returned assignment).
+/// still allocate their per-solve temporaries and the returned assignment).
 struct MPartitionScratch {
-  // Static per-instance data: job ids grouped by processor and sorted by
-  // ascending size, with flat size / prefix-sum segments per processor.
-  std::vector<JobId> jobs;
-  std::vector<Size> sizes_asc;
-  std::vector<Size> prefix;
-  std::vector<std::size_t> offset;  ///< m + 1 segment boundaries
-  std::vector<std::size_t> cursor;  ///< counting-sort fill positions
+  /// The instance's per-processor size order. The instance-only overloads
+  /// build it here; the ProcOrder overloads read the order they are given,
+  /// which may be this one.
+  ProcOrder order;
   std::vector<ThresholdEvent> events;
   // Mutable per-processor scan state at the current guess.
   std::vector<std::int64_t> num_large;
@@ -88,6 +86,15 @@ struct MPartitionScratch {
                                                     MPartitionScratch& scratch,
                                                     MPartitionStats* stats = nullptr);
 
+/// The scratch-arena variant over `instance`'s prebuilt size order (which
+/// may be `scratch.order`): the lower bound, the event list and the
+/// committed PARTITION all read it, and nothing is sorted per processor.
+[[nodiscard]] RebalanceResult m_partition_rebalance(const Instance& instance,
+                                                    const ProcOrder& order,
+                                                    std::int64_t k,
+                                                    MPartitionScratch& scratch,
+                                                    MPartitionStats* stats = nullptr);
+
 /// Parallel threshold scan over `pool`. `chunks` fixes the number of scan
 /// chunks (0 = automatic: fall back to the serial scan for small instances,
 /// otherwise ~2 chunks per worker). Results and stats are bit-identical to
@@ -95,6 +102,12 @@ struct MPartitionScratch {
 [[nodiscard]] RebalanceResult m_partition_rebalance_parallel(
     const Instance& instance, std::int64_t k, ThreadPool& pool,
     MPartitionStats* stats = nullptr, std::size_t chunks = 0);
+
+/// The parallel scan over `instance`'s prebuilt size order.
+[[nodiscard]] RebalanceResult m_partition_rebalance_parallel(
+    const Instance& instance, const ProcOrder& order, std::int64_t k,
+    ThreadPool& pool, MPartitionStats* stats = nullptr,
+    std::size_t chunks = 0);
 
 /// Reference implementation: full PARTITION per candidate threshold.
 [[nodiscard]] RebalanceResult m_partition_rebalance_reference(

@@ -6,29 +6,40 @@
 #include <queue>
 
 namespace lrb {
-namespace {
 
-/// Longest prefix of `prefix_sums` (1-based cumulative sums) whose value,
-/// scaled by `scale`, stays within `cap`. Returns the number of kept items.
-std::size_t longest_fitting_prefix(const std::vector<Size>& prefix_sums,
-                                   Size cap, Size scale) {
-  // prefix_sums[l-1] = sum of the l smallest items; find max l with
-  // scale * sum <= cap. Sums are nondecreasing, so binary search applies.
-  std::size_t lo = 0, hi = prefix_sums.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
-    if (scale * prefix_sums[mid - 1] <= cap) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
+PartitionCounts partition_counts(const ProcOrder& order, ProcId p,
+                                 Size threshold) {
+  const auto sizes = order.sizes(p);
+  const auto prefix = order.prefix(p);
+  const auto twice_exceeds = [](Size t, Size value) { return t < 2 * value; };
+  PartitionCounts out;
+  const auto r = std::upper_bound(sizes.begin(), sizes.end(), threshold,
+                                  twice_exceeds) -
+                 sizes.begin();
+  out.num_small = r;
+  out.num_large = static_cast<std::int64_t>(sizes.size()) - r;
+  // a: longest small prefix with 2 * sum <= T.
+  const auto small_keep =
+      std::upper_bound(prefix.begin(), prefix.begin() + r, threshold,
+                       twice_exceeds) -
+      prefix.begin();
+  out.a = r - small_keep;
+  // b: longest prefix of the post-Step-1 jobs with sum <= T.
+  const std::int64_t kept = r + (out.num_large > 0 ? 1 : 0);
+  const auto all_keep =
+      std::upper_bound(prefix.begin(), prefix.begin() + kept, threshold) -
+      prefix.begin();
+  out.b = kept - all_keep;
+  return out;
 }
 
-}  // namespace
+PartitionOutcome partition_rebalance_at(const Instance& instance,
+                                        Size threshold) {
+  return partition_rebalance_at(instance, ProcOrder(instance), threshold);
+}
 
 PartitionOutcome partition_rebalance_at(const Instance& instance,
+                                        const ProcOrder& order,
                                         Size threshold) {
   assert(threshold >= 0);
   const Size T = threshold;
@@ -37,40 +48,25 @@ PartitionOutcome partition_rebalance_at(const Instance& instance,
   PartitionOutcome out;
   out.threshold = T;
 
-  // Per-processor jobs ascending by size; the small set at T is a prefix.
-  auto by_proc = instance.jobs_by_proc();
-  for (auto& jobs : by_proc) {
-    std::sort(jobs.begin(), jobs.end(), [&](JobId a, JobId b) {
-      if (instance.sizes[a] != instance.sizes[b]) {
-        return instance.sizes[a] < instance.sizes[b];
-      }
-      return a < b;
-    });
-  }
-  auto is_large = [&](JobId j) { return 2 * instance.sizes[j] > T; };
-
   Assignment assignment = instance.initial;
   std::vector<JobId> pending_large;  // removed large jobs awaiting placement
   std::vector<JobId> pending_small;  // removed small jobs for Step 6
   std::int64_t removals = 0;
 
   // ---- Step 1: keep only the smallest large job per processor. ----
+  // Each group is ascending, so its large jobs are the suffix after its
+  // num_small small ones; the first of them stays.
+  std::vector<PartitionCounts> counts(m);
   std::int64_t large_total = 0;
-  std::vector<char> has_large(m, 0);
   for (ProcId p = 0; p < m; ++p) {
-    auto& jobs = by_proc[p];
-    // Large jobs are the ascending suffix starting at first_large.
-    std::size_t first_large = jobs.size();
-    while (first_large > 0 && is_large(jobs[first_large - 1])) --first_large;
-    const std::size_t num_large = jobs.size() - first_large;
-    large_total += static_cast<std::int64_t>(num_large);
-    has_large[p] = num_large > 0;
-    // Evict every large job beyond the smallest one.
-    for (std::size_t i = first_large + 1; i < jobs.size(); ++i) {
+    counts[p] = partition_counts(order, p, T);
+    large_total += counts[p].num_large;
+    const auto jobs = order.jobs(p);
+    for (auto i = static_cast<std::size_t>(counts[p].num_small) + 1;
+         i < jobs.size(); ++i) {
       pending_large.push_back(jobs[i]);
       ++removals;
     }
-    if (num_large > 1) jobs.resize(first_large + 1);
   }
   out.large_total = large_total;
   out.large_extra = static_cast<std::int64_t>(pending_large.size());
@@ -81,85 +77,58 @@ PartitionOutcome partition_rebalance_at(const Instance& instance,
     return out;
   }
 
-  // ---- Step 2: a_i, b_i, c_i from ascending prefix sums. ----
-  out.a.assign(m, 0);
-  out.b.assign(m, 0);
-  std::vector<std::int64_t> c(m, 0);
-  std::vector<std::size_t> small_count(m, 0);
+  // ---- Step 2: a_i, b_i (c_i = a_i - b_i) from the prefix sums. ----
+  out.a.resize(m);
+  out.b.resize(m);
   for (ProcId p = 0; p < m; ++p) {
-    const auto& jobs = by_proc[p];
-    std::vector<Size> sums;
-    sums.reserve(jobs.size());
-    Size acc = 0;
-    for (JobId j : jobs) {
-      acc += instance.sizes[j];
-      sums.push_back(acc);
-    }
-    const std::size_t n_small = jobs.size() - (has_large[p] ? 1 : 0);
-    small_count[p] = n_small;
-    // a_i: over the small prefix only, cap T/2 (compare 2*sum <= T).
-    std::vector<Size> small_sums(sums.begin(),
-                                 sums.begin() + static_cast<std::ptrdiff_t>(n_small));
-    const std::size_t keep_small = longest_fitting_prefix(small_sums, T, 2);
-    out.a[p] = static_cast<std::int64_t>(n_small - keep_small);
-    // b_i: over all jobs (including the kept large one), cap T.
-    const std::size_t keep_all = longest_fitting_prefix(sums, T, 1);
-    out.b[p] = static_cast<std::int64_t>(jobs.size() - keep_all);
-    c[p] = out.a[p] - out.b[p];
+    out.a[p] = counts[p].a;
+    out.b[p] = counts[p].b;
   }
+  const auto c = [&](ProcId p) { return out.a[p] - out.b[p]; };
+  const auto has_large = [&](ProcId p) { return counts[p].num_large > 0; };
 
   // ---- Step 3: pick the L_T processors with smallest c_i. ----
   std::vector<ProcId> procs(m);
   std::iota(procs.begin(), procs.end(), ProcId{0});
   std::sort(procs.begin(), procs.end(), [&](ProcId x, ProcId y) {
-    if (c[x] != c[y]) return c[x] < c[y];
-    if (has_large[x] != has_large[y]) return has_large[x] > has_large[y];
+    if (c(x) != c(y)) return c(x) < c(y);
+    if (has_large(x) != has_large(y)) return has_large(x);
     return x < y;
   });
   std::vector<char> selected(m, 0);
   for (std::int64_t i = 0; i < large_total; ++i) selected[procs[static_cast<std::size_t>(i)]] = 1;
 
+  // ---- Steps 3-4: drop the a_i largest small jobs from each selected
+  // processor (its large job stays) and trim the others to <= T by dropping
+  // their b_i largest remaining jobs. What is kept is a prefix of the group,
+  // plus the smallest large job on a selected processor.
   std::vector<ProcId> free_slots;  // selected, currently large-free
+  std::vector<Size> load(m, 0);
   for (ProcId p = 0; p < m; ++p) {
+    const auto jobs = order.jobs(p);
+    const auto num_small = static_cast<std::size_t>(counts[p].num_small);
     if (selected[p] != 0) {
-      if (has_large[p] == 0) free_slots.push_back(p);
-      // Drop the a_i largest small jobs (suffix of the small prefix).
-      auto& jobs = by_proc[p];
-      const std::size_t n_small = small_count[p];
-      const auto drop = static_cast<std::size_t>(out.a[p]);
-      for (std::size_t i = n_small - drop; i < n_small; ++i) {
+      if (!has_large(p)) free_slots.push_back(p);
+      const std::size_t keep = num_small - static_cast<std::size_t>(out.a[p]);
+      for (std::size_t i = keep; i < num_small; ++i) {
         pending_small.push_back(jobs[i]);
         ++removals;
       }
-      jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(n_small - drop),
-                 jobs.begin() + static_cast<std::ptrdiff_t>(n_small));
-    }
-  }
-
-  // ---- Step 4: trim non-selected processors to <= T. ----
-  for (ProcId p = 0; p < m; ++p) {
-    if (selected[p] != 0) continue;
-    auto& jobs = by_proc[p];
-    const auto drop = static_cast<std::size_t>(out.b[p]);
-    for (std::size_t i = jobs.size() - drop; i < jobs.size(); ++i) {
-      const JobId j = jobs[i];
-      if (is_large(j)) {
-        pending_large.push_back(j);
-      } else {
-        pending_small.push_back(j);
+      load[p] = order.head_load(p, keep) +
+                (has_large(p) ? order.sizes(p)[num_small] : 0);
+    } else {
+      const std::size_t kept = num_small + (has_large(p) ? 1 : 0);
+      const std::size_t keep = kept - static_cast<std::size_t>(out.b[p]);
+      for (std::size_t i = keep; i < kept; ++i) {
+        (i < num_small ? pending_small : pending_large).push_back(jobs[i]);
+        ++removals;
       }
-      ++removals;
+      load[p] = order.head_load(p, keep);
     }
-    jobs.resize(jobs.size() - drop);
   }
 
   // ---- Steps 4b & 5: place all pending large jobs on distinct slots. ----
   assert(pending_large.size() <= free_slots.size());
-  std::vector<Size> load(m, 0);
-  for (ProcId p = 0; p < m; ++p) {
-    for (JobId j : by_proc[p]) load[p] += instance.sizes[j];
-    for (JobId j : by_proc[p]) assignment[j] = p;  // unchanged, re-stamped
-  }
   for (std::size_t i = 0; i < pending_large.size(); ++i) {
     const ProcId slot = free_slots[i];
     assignment[pending_large[i]] = slot;

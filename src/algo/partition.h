@@ -44,6 +44,7 @@
 
 #include "core/assignment.h"
 #include "core/instance.h"
+#include "core/proc_order.h"
 
 namespace lrb {
 
@@ -65,5 +66,25 @@ struct PartitionOutcome {
 /// Runs PARTITION at the given makespan guess. threshold >= 0.
 [[nodiscard]] PartitionOutcome partition_rebalance_at(const Instance& instance,
                                                       Size threshold);
+
+/// The same, over `instance`'s prebuilt size order: no sort of its own.
+[[nodiscard]] PartitionOutcome partition_rebalance_at(const Instance& instance,
+                                                      const ProcOrder& order,
+                                                      Size threshold);
+
+/// One processor's PARTITION quantities at a guess T.
+struct PartitionCounts {
+  std::int64_t num_small = 0;  ///< jobs with 2 * size <= T
+  std::int64_t num_large = 0;  ///< jobs with 2 * size > T
+  std::int64_t a = 0;          ///< a_i
+  std::int64_t b = 0;          ///< b_i, counted after Step 1
+};
+
+/// Processor p's counts at `threshold`, by binary search over its ascending
+/// group: the small jobs are a prefix, and after Step 1 the processor holds
+/// that prefix plus, if it has any large job, the smallest one. O(log n_p).
+/// PARTITION and M-PARTITION's incremental scan share this definition.
+[[nodiscard]] PartitionCounts partition_counts(const ProcOrder& order, ProcId p,
+                                               Size threshold);
 
 }  // namespace lrb

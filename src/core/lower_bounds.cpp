@@ -17,37 +17,36 @@ Size average_load_bound(const Instance& instance) {
 Size max_job_bound(const Instance& instance) { return instance.max_job(); }
 
 Size k_removal_bound(const Instance& instance, std::int64_t k) {
-  // Per-processor jobs sorted descending; a max-heap of (load, proc) drives
-  // the "largest job off the heaviest processor" loop.
-  auto by_proc = instance.jobs_by_proc();
-  std::vector<std::size_t> next(instance.num_procs, 0);
-  std::vector<Size> load = instance.initial_loads();
-  for (auto& jobs : by_proc) {
-    std::sort(jobs.begin(), jobs.end(), [&](JobId a, JobId b) {
-      return instance.sizes[a] > instance.sizes[b];
-    });
-  }
+  return k_removal_bound(ProcOrder(instance), k);
+}
+
+Size k_removal_bound(const ProcOrder& order, std::int64_t k) {
+  // Each processor's jobs leave from the back of its ascending group, so
+  // its load is always a prefix sum; a max-heap of (load, proc) drives the
+  // "largest job off the heaviest processor" loop. Ties between equal sizes
+  // leave every load unchanged.
+  const ProcId m = order.num_procs();
+  std::vector<std::size_t> left(m);
   std::priority_queue<std::pair<Size, ProcId>> heap;
-  for (ProcId p = 0; p < instance.num_procs; ++p) heap.emplace(load[p], p);
+  for (ProcId p = 0; p < m; ++p) {
+    left[p] = order.jobs(p).size();
+    heap.emplace(order.load(p), p);
+  }
+  const auto load = [&](ProcId p) { return order.head_load(p, left[p]); };
 
   for (std::int64_t step = 0; step < k; ++step) {
     // Pop stale entries (loads changed since push).
-    while (!heap.empty() && heap.top().first != load[heap.top().second]) {
+    while (!heap.empty() && heap.top().first != load(heap.top().second)) {
       heap.pop();
     }
     if (heap.empty()) break;
     const ProcId p = heap.top().second;
-    if (next[p] >= by_proc[p].size()) {  // heaviest processor is empty: done
-      break;
-    }
-    const JobId victim = by_proc[p][next[p]++];
-    load[p] -= instance.sizes[victim];
-    heap.emplace(load[p], p);
+    if (left[p] == 0) break;  // heaviest processor is empty: done
+    --left[p];
+    heap.emplace(load(p), p);
   }
   Size result = 0;
-  for (ProcId p = 0; p < instance.num_procs; ++p) {
-    result = std::max(result, load[p]);
-  }
+  for (ProcId p = 0; p < m; ++p) result = std::max(result, load(p));
   return result;
 }
 
@@ -129,8 +128,21 @@ Size budget_removal_bound(const Instance& instance, Cost budget) {
 }
 
 Size combined_lower_bound(const Instance& instance, std::int64_t k) {
-  return std::max({average_load_bound(instance), max_job_bound(instance),
-                   k_removal_bound(instance, k)});
+  return combined_lower_bound(ProcOrder(instance), k);
+}
+
+Size combined_lower_bound(const ProcOrder& order, std::int64_t k) {
+  const ProcId m = order.num_procs();
+  Size total = 0;
+  Size max_job = 0;
+  for (ProcId p = 0; p < m; ++p) {
+    const auto sizes = order.sizes(p);
+    total += order.load(p);
+    if (!sizes.empty()) max_job = std::max(max_job, sizes.back());
+  }
+  const auto procs = static_cast<Size>(m);
+  return std::max({(total + procs - 1) / procs, max_job,
+                   k_removal_bound(order, k)});
 }
 
 }  // namespace lrb

@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "core/instance.h"
+#include "core/proc_order.h"
 #include "core/types.h"
 
 namespace lrb {
@@ -24,6 +25,9 @@ namespace lrb {
 /// <= OPT everywhere, and greedy removal is the best deletion). O(n log n).
 [[nodiscard]] Size k_removal_bound(const Instance& instance, std::int64_t k);
 
+/// The same bound over a prebuilt size order: O(m + k log m).
+[[nodiscard]] Size k_removal_bound(const ProcOrder& order, std::int64_t k);
+
 /// Budget version of the removal bound: the smallest T such that the summed
 /// per-processor FRACTIONAL min-cost of trimming each processor's load to T
 /// is within the budget. The optimum's relocated set costs <= B and trims
@@ -35,5 +39,8 @@ namespace lrb {
 /// max(average_load_bound, max_job_bound, k_removal_bound).
 [[nodiscard]] Size combined_lower_bound(const Instance& instance,
                                         std::int64_t k);
+
+/// The same bound, read entirely from a prebuilt size order.
+[[nodiscard]] Size combined_lower_bound(const ProcOrder& order, std::int64_t k);
 
 }  // namespace lrb

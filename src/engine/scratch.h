@@ -14,8 +14,9 @@ namespace lrb::engine {
 /// One worker's arena, checked out of the BatchSolver's pool for the
 /// duration of a single solve. `warm` pre-sizes every buffer so that
 /// steady-state solving of instances within the warmed bounds performs no
-/// heap allocation in the M-PARTITION scan (see docs/performance.md for
-/// what the arena contract does and does not cover).
+/// heap allocation in building the per-processor size order or in the
+/// M-PARTITION scan (see docs/performance.md for what the arena contract
+/// does and does not cover).
 struct Scratch {
   MPartitionScratch m_partition;
   PtasScratch ptas;                 ///< serial PTAS guess-scan arena
@@ -26,8 +27,9 @@ struct Scratch {
     m_partition.warm(max_jobs, max_procs);
     ptas.warm(max_jobs, max_procs);
     loads.reserve(max_procs);
-    // ptas_wave slots are sized (and warmed by first use) lazily in
-    // BatchSolver::run_algo: the wave count depends on the pool size.
+    // ptas_wave slots are sized (and warmed by first use) lazily by
+    // ptas_rebalance_parallel, which BatchSolver::run_item reaches through
+    // solver::solve: the wave count depends on the pool size.
   }
 };
 

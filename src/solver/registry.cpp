@@ -16,18 +16,29 @@
 namespace lrb::solver {
 namespace {
 
-/// M-PARTITION under a context: the three entry points are bit-identical
-/// (m_partition.h), so this only picks the cheapest one available.
+/// The context's M-PARTITION arena (or `local` when it has none) with its
+/// size order built for `instance`: the one per-processor sort of an
+/// m-partition, best-of or local-search solve.
+MPartitionScratch& ordered_arena(const Instance& instance,
+                                 const SolveContext& ctx,
+                                 MPartitionScratch& local) {
+  MPartitionScratch& arena =
+      ctx.m_partition != nullptr ? *ctx.m_partition : local;
+  arena.order.build(instance);
+  return arena;
+}
+
+/// M-PARTITION over `arena.order` under a context: the entry points are
+/// bit-identical (m_partition.h), so this only picks the cheapest one
+/// available.
 RebalanceResult solve_m_partition(const Instance& instance, std::int64_t k,
-                                  const SolveContext& ctx) {
+                                  const SolveContext& ctx,
+                                  MPartitionScratch& arena) {
   if (ctx.pool != nullptr && ctx.pool->size() > 1 &&
       instance.num_jobs() >= ctx.intra_parallel_min_jobs) {
-    return m_partition_rebalance_parallel(instance, k, *ctx.pool);
+    return m_partition_rebalance_parallel(instance, arena.order, k, *ctx.pool);
   }
-  if (ctx.m_partition != nullptr) {
-    return m_partition_rebalance(instance, k, *ctx.m_partition);
-  }
-  return m_partition_rebalance(instance, k);
+  return m_partition_rebalance(instance, arena.order, k, arena);
 }
 
 constexpr std::string_view kMPartitionAliases[] = {"mpartition"};
@@ -219,12 +230,17 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
   switch (spec.backend) {
     case BackendId::kGreedy:
       return greedy_rebalance(instance, k);
-    case BackendId::kMPartition:
-      return solve_m_partition(instance, k, ctx);
+    case BackendId::kMPartition: {
+      MPartitionScratch local;
+      return solve_m_partition(instance, k, ctx,
+                               ordered_arena(instance, ctx, local));
+    }
     case BackendId::kBestOf: {
-      // PARTITION wins ties.
-      auto greedy = greedy_rebalance(instance, k);
-      auto partition = solve_m_partition(instance, k, ctx);
+      // GREEDY and M-PARTITION read one size order; PARTITION wins ties.
+      MPartitionScratch local;
+      MPartitionScratch& arena = ordered_arena(instance, ctx, local);
+      auto greedy = greedy_rebalance(instance, arena.order, k);
+      auto partition = solve_m_partition(instance, k, ctx, arena);
       return partition.makespan <= greedy.makespan ? std::move(partition)
                                                    : std::move(greedy);
     }
@@ -253,7 +269,9 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
     case BackendId::kLocalSearch: {
       // m_partition_ls_rebalance, decomposed so the base solve can use the
       // context's scratch/parallel paths (bit-identical to the plain one).
-      auto base = solve_m_partition(instance, k, ctx);
+      MPartitionScratch local;
+      auto base = solve_m_partition(instance, k, ctx,
+                                    ordered_arena(instance, ctx, local));
       LocalSearchOptions options;
       options.max_moves = k;
       return local_search_improve(instance, base, options);

@@ -13,6 +13,7 @@
 #include "core/instance.h"
 #include "core/io.h"
 #include "core/lower_bounds.h"
+#include "core/proc_order.h"
 
 namespace lrb {
 namespace {
@@ -40,6 +41,62 @@ TEST(Instance, JobsByProc) {
   EXPECT_EQ(by_proc[0], (std::vector<JobId>{0, 1}));
   EXPECT_EQ(by_proc[1], (std::vector<JobId>{2}));
   EXPECT_TRUE(by_proc[2].empty());
+}
+
+TEST(ProcOrder, GroupsAscendBySizeThenIdWithPrefixSums) {
+  // Processor 1 holds ties (ids 1, 4, 6 share size 3) and a zero; processor
+  // 2 is empty; processor 3 holds one job.
+  const Instance inst = make_instance({5, 3, 0, 9, 3, 0, 3, 2},
+                                      {0, 1, 1, 3, 1, 0, 1, 0}, 4);
+  const ProcOrder order(inst);
+  ASSERT_EQ(order.num_procs(), 4u);
+  EXPECT_EQ(order.num_jobs(), 8u);
+  const auto group = [&](ProcId p) {
+    return std::vector<JobId>(order.jobs(p).begin(), order.jobs(p).end());
+  };
+  const auto sizes = [&](ProcId p) {
+    return std::vector<Size>(order.sizes(p).begin(), order.sizes(p).end());
+  };
+  const auto prefix = [&](ProcId p) {
+    return std::vector<Size>(order.prefix(p).begin(), order.prefix(p).end());
+  };
+  EXPECT_EQ(group(0), (std::vector<JobId>{5, 7, 0}));
+  EXPECT_EQ(sizes(0), (std::vector<Size>{0, 2, 5}));
+  EXPECT_EQ(prefix(0), (std::vector<Size>{0, 2, 7}));
+  EXPECT_EQ(group(1), (std::vector<JobId>{2, 1, 4, 6}));
+  EXPECT_EQ(sizes(1), (std::vector<Size>{0, 3, 3, 3}));
+  EXPECT_EQ(prefix(1), (std::vector<Size>{0, 3, 6, 9}));
+  EXPECT_TRUE(group(2).empty());
+  EXPECT_EQ(order.load(2), 0);
+  EXPECT_EQ(group(3), (std::vector<JobId>{3}));
+  EXPECT_EQ(prefix(3), (std::vector<Size>{9}));
+  const auto loads = inst.initial_loads();
+  for (ProcId p = 0; p < 4; ++p) EXPECT_EQ(order.load(p), loads[p]) << p;
+  EXPECT_EQ(order.head_load(1, 0), 0);
+  EXPECT_EQ(order.head_load(1, 2), 3);
+}
+
+TEST(ProcOrder, RebuildingForASmallerInstanceLeavesNothingStale) {
+  GeneratorOptions gen;
+  gen.num_jobs = 300;
+  gen.num_procs = 12;
+  ProcOrder order(random_instance(gen, 5));
+  const Instance small = make_instance({4, 1, 4}, {1, 1, 0}, 3);
+  order.build(small);
+  ASSERT_EQ(order.num_procs(), 3u);
+  EXPECT_EQ(order.num_jobs(), 3u);
+  EXPECT_EQ(order.load(0), 4);
+  EXPECT_EQ(order.jobs(1).size(), 2u);
+  EXPECT_EQ(order.jobs(1)[0], 1u);
+  EXPECT_EQ(order.jobs(1)[1], 0u);
+  EXPECT_EQ(order.prefix(1)[1], 5);
+  EXPECT_TRUE(order.jobs(2).empty());
+  Instance empty;
+  empty.num_procs = 2;
+  order.build(empty);
+  EXPECT_EQ(order.num_procs(), 2u);
+  EXPECT_EQ(order.num_jobs(), 0u);
+  EXPECT_EQ(order.load(0) + order.load(1), 0);
 }
 
 TEST(Instance, ValidateRejectsBadShapes) {

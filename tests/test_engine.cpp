@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/greedy.h"
@@ -336,6 +338,55 @@ TEST(BatchSolver, SerialReferenceMatchesLibraryEntryPoints) {
                   serial_reference(backend, c.instance, c.k),
                   std::string("solve_serial_reference ") +
                       solver::backend_name(backend) + " " + c.name);
+    }
+  }
+}
+
+TEST(BatchSolver, AWarmedArenaReusedAcrossInstanceShapesLeavesNothingStale) {
+  // One worker, so consecutive solves lease the same warmed arena and its
+  // size order: every shape below follows a different one, starting with a
+  // larger instance, and none may read what the previous solve left.
+  const auto generated = [](std::size_t jobs, ProcId procs,
+                            std::uint64_t seed) {
+    GeneratorOptions gen;
+    gen.num_jobs = jobs;
+    gen.num_procs = procs;
+    gen.placement = PlacementPolicy::kHotspot;
+    return random_instance(gen, seed);
+  };
+  const auto uniform = [](std::size_t jobs, ProcId procs, Size size) {
+    std::vector<ProcId> initial(jobs);
+    for (std::size_t j = 0; j < jobs; ++j) {
+      initial[j] = static_cast<ProcId>((j * j) % procs);
+    }
+    return make_instance(std::vector<Size>(jobs, size), std::move(initial),
+                         procs);
+  };
+  Instance no_jobs;
+  no_jobs.num_procs = 3;
+  const std::vector<std::pair<std::string, Instance>> shapes = {
+      {"512 jobs / 16 procs", generated(512, 16, 1)},
+      {"32 jobs / 4 procs", generated(32, 4, 2)},
+      {"no jobs", no_jobs},
+      {"one processor", generated(40, 1, 3)},
+      {"equal sizes", uniform(48, 5, 7)},
+      {"zero sizes", uniform(30, 4, 0)},
+      {"512 jobs again", generated(512, 16, 4)}};
+  BatchOptions options;
+  options.workers = 1;
+  BatchSolver solver(options);
+  for (const auto& [name, instance] : shapes) {
+    const std::int64_t k = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(instance.num_jobs() / 4));
+    for (BackendId backend : {BackendId::kGreedy, BackendId::kMPartition,
+                              BackendId::kBestOf, BackendId::kLocalSearch}) {
+      BatchSolver::TickItem item;
+      item.instance = &instance;
+      item.k = k;
+      item.spec = backend;
+      expect_same(solver.solve_item(item),
+                  engine::solve_serial_reference(backend, instance, k),
+                  std::string(solver::backend_name(backend)) + " " + name);
     }
   }
 }

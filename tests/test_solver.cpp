@@ -4,27 +4,37 @@
 // cache-key encoding distinctness and normalization, the dispatch switch
 // staying faithful to the library entry points for the backends that are
 // NOT covered by the legacy engine/service suites (lpt, local-search,
-// none, cost-partition), and every backend passing the certificate of the
-// guarantee its descriptor declares.
+// none, cost-partition), every backend passing the certificate of the
+// guarantee its descriptor declares, and golden digests that pin every
+// backend's reply bytes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <iterator>
 #include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/cost_partition.h"
+#include "algo/greedy.h"
 #include "algo/local_search.h"
 #include "algo/lpt.h"
+#include "algo/m_partition.h"
+#include "algo/partition.h"
 #include "check/certify.h"
 #include "core/assignment.h"
 #include "core/generators.h"
 #include "core/instance.h"
+#include "core/lower_bounds.h"
 #include "solver/registry.h"
+#include "svc/wire.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace lrb {
@@ -293,6 +303,143 @@ TEST(SolverRegistry, EveryBackendPassesTheCertificateItsGuaranteeGives) {
   small.move_costs.resize(12);
   certify(SolverSpec(BackendId::kPtas, {.budget = 10, .eps = 0.5}), small, 3,
           "ptas");
+}
+
+/// FNV-1a over bytes: the running digest the golden values below pin.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+
+  void bytes(std::string_view data) {
+    for (const char c : data) {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+  }
+  void i64(std::int64_t value) {
+    const auto u = static_cast<std::uint64_t>(value);
+    for (int shift = 0; shift < 64; shift += 8) {
+      h = (h ^ ((u >> shift) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void result(const RebalanceResult& r) {
+    bytes(svc::encode_solve_reply_payload(r));
+  }
+  [[nodiscard]] std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+  }
+};
+
+/// The golden input set: the 32- and 128-job mixed-corpus instances among
+/// the first 100 indices of two seeds (150 instances covering every size
+/// distribution and placement; the 512-job tier would take the test past
+/// its 5 s budget in a Debug build), then 1000 tie-heavy random ones
+/// (sizes 0-5, costs 0-3, 1-6 processors, 0-24 jobs) where equal sizes,
+/// zero sizes and empty processors are the rule.
+std::vector<Instance> golden_instances() {
+  std::vector<Instance> out;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    for (std::size_t index = 0; index < 100; ++index) {
+      Instance instance = mixed_corpus_instance(index, seed);
+      if (instance.num_jobs() <= 128) out.push_back(std::move(instance));
+    }
+  }
+  Rng rng(0x601de9);
+  for (int i = 0; i < 1000; ++i) {
+    const auto m = static_cast<ProcId>(rng.uniform_int(1, 6));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 24));
+    std::vector<Size> sizes(n);
+    std::vector<Cost> costs(n);
+    std::vector<ProcId> initial(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      sizes[j] = rng.uniform_int(0, 5);
+      costs[j] = rng.uniform_int(0, 3);
+      initial[j] = static_cast<ProcId>(rng.uniform_int(0, m - 1));
+    }
+    out.push_back(make_instance(std::move(sizes), std::move(costs),
+                                std::move(initial), m));
+  }
+  return out;
+}
+
+std::vector<std::int64_t> golden_ks(const Instance& instance) {
+  const auto n = static_cast<std::int64_t>(instance.num_jobs());
+  return {0, 1, std::max<std::int64_t>(1, n / 4), n / 2, n + 3};
+}
+
+TEST(SolverGolden, RepliesMatchThePinnedDigests) {
+  // Pins every backend's reply bytes, and the library entry points behind
+  // them, to fixed digests. The expected values were produced by running
+  // this test body on the commit before the solvers shared one
+  // per-processor size order, so any change in a solver's output (a tie
+  // broken differently, a stale arena read) shows up here.
+  const std::vector<Instance> instances = golden_instances();
+  std::vector<Digest> backend_digests(solver::kNumBackends);
+  Digest library;
+  for (const Instance& instance : instances) {
+    for (const std::int64_t k : golden_ks(instance)) {
+      for (const auto& backend : solver::all_backends()) {
+        // The PTAS and cost-PARTITION are slow on larger instances.
+        if ((backend.id == BackendId::kPtas && instance.num_jobs() > 12) ||
+            (backend.id == BackendId::kCostPartition &&
+             instance.num_jobs() > 32)) {
+          continue;
+        }
+        const SolverSpec spec(backend.id, {.budget = 2 * k});
+        backend_digests[static_cast<std::size_t>(backend.id)].result(
+            solver::solve_serial(spec, instance, k));
+      }
+      for (const GreedyOrder order :
+           {GreedyOrder::kAsRemoved, GreedyOrder::kLargestFirst,
+            GreedyOrder::kSmallestFirst}) {
+        GreedyStats stats;
+        library.result(greedy_rebalance(instance, k, order, &stats));
+        library.i64(stats.g1);
+        library.i64(stats.removed);
+      }
+      library.i64(k_removal_bound(instance, k));
+      library.i64(combined_lower_bound(instance, k));
+      MPartitionStats stats;
+      library.result(m_partition_rebalance(instance, k, &stats));
+      library.i64(stats.accepted_threshold);
+      library.i64(stats.start_threshold);
+      library.i64(stats.removals);
+      library.i64(static_cast<std::int64_t>(stats.guesses_evaluated));
+    }
+    const Size max_job = instance.max_job();
+    for (const Size threshold : {Size{0}, Size{1}, max_job, 2 * max_job,
+                                 instance.initial_makespan()}) {
+      const PartitionOutcome outcome =
+          partition_rebalance_at(instance, threshold);
+      library.i64(outcome.feasible ? 1 : 0);
+      library.i64(outcome.removals);
+      library.i64(outcome.large_total);
+      library.i64(outcome.large_extra);
+      for (const std::int64_t a : outcome.a) library.i64(a);
+      for (const std::int64_t b : outcome.b) library.i64(b);
+      library.result(outcome.result);
+    }
+  }
+
+  const struct {
+    BackendId backend;
+    const char* digest;
+  } expected[] = {{BackendId::kGreedy, "3d0099b60214a5e9"},
+                  {BackendId::kMPartition, "8465848a145b123d"},
+                  {BackendId::kBestOf, "cf718285c1c06195"},
+                  {BackendId::kPtas, "341caa85a9e5f02c"},
+                  {BackendId::kLpt, "536fd4d12f3d58e2"},
+                  {BackendId::kLocalSearch, "53fd765de81d8333"},
+                  {BackendId::kNone, "5173f9408a35ffd7"},
+                  {BackendId::kCostPartition, "83f3c7b672832b7c"}};
+  ASSERT_EQ(std::size(expected), solver::kNumBackends);
+  for (const auto& row : expected) {
+    EXPECT_EQ(backend_digests[static_cast<std::size_t>(row.backend)].hex(),
+              row.digest)
+        << solver::backend_name(row.backend);
+  }
+  EXPECT_EQ(library.hex(), "82516781ae055186") << "library entry points";
 }
 
 }  // namespace

@@ -205,20 +205,21 @@ void run_worker(const LoadConfig& config, std::size_t conn, Clock::time_point
     } else if (i >= config.requests) {
       break;
     }
+    const std::size_t index = instance_index(config, conn, i);
+    const lrb::svc::SolveRequest request = make_request(config, index);
+
+    auto t0 = Clock::now();
     if (per_conn_rate > 0.0) {
-      // Open loop: request i fires at its absolute scheduled time even if
-      // earlier replies were slow (lateness becomes measured latency).
+      // Open loop: request i is due at its absolute scheduled time and is
+      // timed from then, so when earlier replies were slow its lateness
+      // becomes measured latency.
       const auto due = start + std::chrono::duration_cast<Clock::duration>(
                                    std::chrono::duration<double>(
                                        static_cast<double>(i) / per_conn_rate));
       std::this_thread::sleep_until(due);
       if (config.duration_s > 0.0 && Clock::now() >= deadline_end) break;
+      t0 = due;
     }
-
-    const std::size_t index = instance_index(config, conn, i);
-    const lrb::svc::SolveRequest request = make_request(config, index);
-
-    const auto t0 = Clock::now();
     ++stats.sent;
     auto outcome = client->solve(request, index, &error);
     const auto t1 = Clock::now();
