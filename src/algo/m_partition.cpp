@@ -1,13 +1,11 @@
 #include "algo/m_partition.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <vector>
 
 #include "algo/thresholds.h"
 #include "core/lower_bounds.h"
-#include "util/thread_pool.h"
 
 namespace lrb {
 
@@ -101,17 +99,16 @@ void build_events(const ProcOrder& order, Size start,
             });
 }
 
-/// Aggregate scan state at the current guess. Per-processor vectors and the
-/// Fenwick storage are borrowed, so the serial path binds them to the
-/// scratch arena while parallel chunks bind stack-local buffers.
+/// Aggregate scan state at the current guess, kept in the scratch arena's
+/// per-processor vectors and Fenwick storage.
 struct ScanState {
-  ScanState(std::vector<std::int64_t>& nl, std::vector<std::int64_t>& av,
-            std::vector<std::int64_t>& bv, std::vector<std::int64_t>& cnt,
-            std::vector<std::int64_t>& sum, std::int64_t max_abs)
-      : num_large(nl), a(av), b(bv), selector(cnt, sum, max_abs) {}
+  ScanState(MPartitionScratch& s, std::int64_t max_abs)
+      : num_large(s.num_large),
+        a(s.a),
+        b(s.b),
+        selector(s.sel_cnt, s.sel_sum, max_abs) {}
 
-  /// Initializes every processor at guess T; the result is a pure function
-  /// of (order, T).
+  /// Initializes every processor at guess T.
   void init(const ProcOrder& order, Size T) {
     const ProcId procs = order.num_procs();
     num_large.assign(procs, 0);
@@ -123,9 +120,7 @@ struct ScanState {
     for (ProcId p = 0; p < procs; ++p) insert(p, partition_counts(order, p, T));
   }
 
-  /// Advances processor p to guess T (one threshold event). Each processor's
-  /// counts at T are a pure function of (its group, T) — the property that
-  /// lets parallel chunks recompute their entry state exactly.
+  /// Advances processor p to guess T (one threshold event).
   void apply(const ProcOrder& order, ProcId p, Size T) {
     large_total -= num_large[p];
     if (num_large[p] > 0) --procs_with_large;
@@ -160,63 +155,21 @@ struct ScanState {
   }
 };
 
-struct Acceptance {
-  Size threshold = 0;
-  std::int64_t removals = 0;
-  std::size_t guesses = 0;
-};
-
+/// Runs the one full PARTITION at the accepted guess, the scan's
+/// `guesses`-th evaluation, whose k-hat was `removals`.
 RebalanceResult commit(const Instance& instance, const ProcOrder& order,
-                       const Acceptance& accepted, Size start,
-                       MPartitionStats* stats) {
-  auto outcome = partition_rebalance_at(instance, order, accepted.threshold);
+                       Size threshold, std::int64_t removals,
+                       std::size_t guesses, Size start, MPartitionStats* stats) {
+  auto outcome = partition_rebalance_at(instance, order, threshold);
   assert(outcome.feasible);
-  assert(outcome.removals == accepted.removals);
+  assert(outcome.removals == removals);
   if (stats != nullptr) {
-    stats->accepted_threshold = accepted.threshold;
+    stats->accepted_threshold = threshold;
     stats->start_threshold = start;
     stats->removals = outcome.removals;
-    stats->guesses_evaluated = accepted.guesses;
+    stats->guesses_evaluated = guesses;
   }
   return std::move(outcome.result);
-}
-
-/// The serial incremental sweep over the scratch's prepared event list,
-/// starting from (and first evaluating) the certified lower bound.
-RebalanceResult sweep_serial(const Instance& instance, const ProcOrder& order,
-                             std::int64_t k, Size start, MPartitionScratch& s,
-                             MPartitionStats* stats) {
-  const auto n = static_cast<std::int64_t>(instance.num_jobs());
-  const auto m = static_cast<std::int64_t>(instance.num_procs);
-  ScanState state(s.num_large, s.a, s.b, s.sel_cnt, s.sel_sum, n + 1);
-  state.init(order, start);
-
-  std::size_t guesses = 1;
-  {
-    const std::int64_t kh = state.k_hat(m);
-    if (kh <= k) {
-      return commit(instance, order, {start, kh, guesses}, start, stats);
-    }
-  }
-
-  std::size_t i = 0;
-  while (i < s.events.size()) {
-    const Size value = s.events[i].value;
-    // Apply every event at this threshold, touching each processor once.
-    while (i < s.events.size() && s.events[i].value == value) {
-      state.apply(order, s.events[i].proc, value);
-      ++i;
-    }
-    ++guesses;
-    const std::int64_t kh = state.k_hat(m);
-    if (kh <= k) {
-      return commit(instance, order, {value, kh, guesses}, start, stats);
-    }
-  }
-  // Unreachable: at the largest candidate every processor fits within T and
-  // no job is large, so k_hat = 0 <= k.
-  assert(false && "M-PARTITION scan failed to terminate");
-  return no_move_result(instance);
 }
 
 }  // namespace
@@ -239,129 +192,36 @@ RebalanceResult m_partition_rebalance(const Instance& instance,
                                       MPartitionScratch& scratch,
                                       MPartitionStats* stats) {
   assert(k >= 0);
-  const Size start = combined_lower_bound(order, k);
-  build_events(order, start, scratch.events);
-  return sweep_serial(instance, order, k, start, scratch, stats);
-}
-
-RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
-                                               std::int64_t k, ThreadPool& pool,
-                                               MPartitionStats* stats,
-                                               std::size_t chunks) {
-  return m_partition_rebalance_parallel(instance, ProcOrder(instance), k, pool,
-                                        stats, chunks);
-}
-
-RebalanceResult m_partition_rebalance_parallel(const Instance& instance,
-                                               const ProcOrder& order,
-                                               std::int64_t k, ThreadPool& pool,
-                                               MPartitionStats* stats,
-                                               std::size_t chunks) {
-  assert(k >= 0);
   const auto n = static_cast<std::int64_t>(instance.num_jobs());
   const auto m = static_cast<std::int64_t>(instance.num_procs);
   const Size start = combined_lower_bound(order, k);
-  MPartitionScratch s;  // scan buffers only; `order` is the size order
-  build_events(order, start, s.events);
+  build_events(order, start, scratch.events);
+  const std::vector<ThresholdEvent>& events = scratch.events;
 
-  // Distinct candidate values; chunk boundaries never split a value, so
-  // every chunk evaluates whole guesses only.
-  std::vector<std::size_t> first_event;
-  first_event.reserve(s.events.size());
-  for (std::size_t i = 0; i < s.events.size(); ++i) {
-    if (i == 0 || s.events[i].value != s.events[i - 1].value) {
-      first_event.push_back(i);
+  // The incremental sweep, starting from (and first evaluating) the
+  // certified lower bound.
+  ScanState state(scratch, n + 1);
+  state.init(order, start);
+  std::size_t guesses = 1;
+  if (const std::int64_t kh = state.k_hat(m); kh <= k) {
+    return commit(instance, order, start, kh, guesses, start, stats);
+  }
+  std::size_t i = 0;
+  while (i < events.size()) {
+    const Size value = events[i].value;
+    // Apply every event at this threshold, touching each processor once.
+    while (i < events.size() && events[i].value == value) {
+      state.apply(order, events[i].proc, value);
+      ++i;
+    }
+    ++guesses;
+    if (const std::int64_t kh = state.k_hat(m); kh <= k) {
+      return commit(instance, order, value, kh, guesses, start, stats);
     }
   }
-  const std::size_t distinct = first_event.size();
-
-  std::size_t num_chunks = chunks;
-  if (num_chunks == 0) {
-    // Automatic: the chunked scan only pays off when there is real work to
-    // split; small instances keep the cheaper incremental serial sweep.
-    constexpr std::size_t kMinEventsForParallel = 4096;
-    num_chunks = (pool.size() > 1 && s.events.size() >= kMinEventsForParallel)
-                     ? 2 * pool.size()
-                     : 1;
-  }
-  num_chunks = std::max<std::size_t>(std::min(num_chunks, distinct), 1);
-  if (num_chunks <= 1) {
-    return sweep_serial(instance, order, k, start, s, stats);
-  }
-
-  // The certified lower bound is evaluated first, serially, exactly as the
-  // serial scan does (guess #1).
-  {
-    ScanState state(s.num_large, s.a, s.b, s.sel_cnt, s.sel_sum, n + 1);
-    state.init(order, start);
-    const std::int64_t kh = state.k_hat(m);
-    if (kh <= k) return commit(instance, order, {start, kh, 1}, start, stats);
-  }
-
-  struct ChunkHit {
-    bool accepted = false;
-    Size value = 0;
-    std::int64_t removals = 0;
-    std::size_t distinct_index = 0;  ///< 0-based rank among distinct values
-  };
-  std::vector<ChunkHit> hits(num_chunks);
-  // Lowest chunk index that accepted so far: chunks strictly above a winner
-  // can stop early; chunks below it must still finish (they may find an
-  // earlier — i.e. the true serial — acceptance).
-  std::atomic<std::size_t> winner{num_chunks};
-
-  parallel_for(pool, 0, num_chunks, [&](std::size_t c) {
-    const std::size_t d_lo = c * distinct / num_chunks;
-    const std::size_t d_hi = (c + 1) * distinct / num_chunks;
-    if (d_lo >= d_hi) return;
-    if (winner.load(std::memory_order_acquire) < c) return;
-    const std::size_t e_lo = first_event[d_lo];
-    const std::size_t e_hi =
-        d_hi < distinct ? first_event[d_hi] : s.events.size();
-
-    std::vector<std::int64_t> nl, av, bv, cnt, sum;
-    ScanState state(nl, av, bv, cnt, sum, n + 1);
-    // Entry state: scan state at a threshold is a pure function of the
-    // threshold, so initializing every processor at the chunk's first value
-    // reproduces the serial sweep's state there exactly.
-    std::size_t d = d_lo;
-    Size value = s.events[e_lo].value;
-    state.init(order, value);
-    std::size_t i = e_lo;
-    while (i < e_hi && s.events[i].value == value) ++i;  // folded into init
-    for (;;) {
-      const std::int64_t kh = state.k_hat(m);
-      if (kh <= k) {
-        hits[c] = {true, value, kh, d};
-        std::size_t cur = winner.load(std::memory_order_relaxed);
-        while (c < cur && !winner.compare_exchange_weak(
-                              cur, c, std::memory_order_release,
-                              std::memory_order_relaxed)) {
-        }
-        return;
-      }
-      if (i >= e_hi) return;
-      value = s.events[i].value;
-      while (i < e_hi && s.events[i].value == value) {
-        state.apply(order, s.events[i].proc, value);
-        ++i;
-      }
-      ++d;
-      if ((d & 63) == 0 && winner.load(std::memory_order_relaxed) < c) return;
-    }
-  });
-
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (hits[c].accepted) {
-      // Serial guess count: 1 for the start threshold plus one per distinct
-      // value up to and including the accepted one.
-      return commit(instance, order,
-                    {hits[c].value, hits[c].removals,
-                     hits[c].distinct_index + 2},
-                    start, stats);
-    }
-  }
-  assert(false && "M-PARTITION parallel scan failed to terminate");
+  // Unreachable: at the largest candidate every processor fits within T and
+  // no job is large, so k_hat = 0 <= k.
+  assert(false && "M-PARTITION scan failed to terminate");
   return no_move_result(instance);
 }
 

@@ -8,7 +8,7 @@
 // optimal k-move schedule), the accepted guess is <= OPT and the resulting
 // makespan is <= 1.5 * OPT (Theorem 3).
 //
-// Three implementations are provided:
+// Two implementations are provided:
 //  - m_partition_rebalance: the paper's O(n log n) scheme. k-hat is
 //    maintained incrementally: each threshold event touches exactly one
 //    processor's (a_i, b_i) or one job's large/small classification, and
@@ -16,13 +16,9 @@
 //    c-value. One full PARTITION run happens only at the accepted guess.
 //    An overload takes an MPartitionScratch arena so that repeat solving
 //    (the batch engine's steady state) performs no heap allocation in the
-//    scan.
-//  - m_partition_rebalance_parallel: splits the sorted candidate range into
-//    chunks and scans each chunk on a ThreadPool. Scan state at a threshold
-//    is a pure function of the threshold, so every chunk recomputes its
-//    entry state independently and the first accepting chunk (in value
-//    order) yields results — and stats — bit-identical to the serial scan
-//    for any chunk/worker count.
+//    scan. The scan runs on the calling thread: it usually accepts within a
+//    few guesses, so the engine parallelizes across instances instead
+//    (docs/performance.md).
 //  - m_partition_rebalance_reference: re-runs PARTITION at every candidate
 //    (O(n^2 log n) worst case). Used for differential testing.
 
@@ -39,8 +35,6 @@
 #include "core/proc_order.h"
 
 namespace lrb {
-
-class ThreadPool;
 
 struct MPartitionStats {
   Size accepted_threshold = 0;    ///< the committed OPT guess (<= OPT)
@@ -94,20 +88,6 @@ struct MPartitionScratch {
                                                     std::int64_t k,
                                                     MPartitionScratch& scratch,
                                                     MPartitionStats* stats = nullptr);
-
-/// Parallel threshold scan over `pool`. `chunks` fixes the number of scan
-/// chunks (0 = automatic: fall back to the serial scan for small instances,
-/// otherwise ~2 chunks per worker). Results and stats are bit-identical to
-/// m_partition_rebalance for every chunk and worker count.
-[[nodiscard]] RebalanceResult m_partition_rebalance_parallel(
-    const Instance& instance, std::int64_t k, ThreadPool& pool,
-    MPartitionStats* stats = nullptr, std::size_t chunks = 0);
-
-/// The parallel scan over `instance`'s prebuilt size order.
-[[nodiscard]] RebalanceResult m_partition_rebalance_parallel(
-    const Instance& instance, const ProcOrder& order, std::int64_t k,
-    ThreadPool& pool, MPartitionStats* stats = nullptr,
-    std::size_t chunks = 0);
 
 /// Reference implementation: full PARTITION per candidate threshold.
 [[nodiscard]] RebalanceResult m_partition_rebalance_reference(

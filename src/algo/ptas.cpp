@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/lower_bounds.h"
-#include "util/thread_pool.h"
 
 namespace lrb {
 namespace {
@@ -556,73 +555,6 @@ PtasResult ptas_rebalance(const Instance& instance, const PtasOptions& options,
   }
   // The identity plan is representable at guess >= the initial makespan, so
   // reaching here indicates a logic error for sane inputs.
-  assert(false && "PTAS guess scan exhausted");
-  return result;
-}
-
-PtasResult ptas_rebalance_parallel(const Instance& instance,
-                                   const PtasOptions& options, ThreadPool& pool,
-                                   std::size_t wave) {
-  std::vector<PtasScratch> scratches;
-  return ptas_rebalance_parallel(instance, options, pool, scratches, wave);
-}
-
-PtasResult ptas_rebalance_parallel(const Instance& instance,
-                                   const PtasOptions& options, ThreadPool& pool,
-                                   std::vector<PtasScratch>& scratches,
-                                   std::size_t wave) {
-  assert(options.eps > 0);
-  assert(options.budget >= 0);
-  const double delta = ptas_delta(options.eps);
-
-  PtasResult result;
-  result.result = no_move_result(instance);
-  if (instance.num_jobs() == 0) {
-    result.success = true;
-    return result;
-  }
-  if (wave == 0) wave = std::max<std::size_t>(2 * pool.size(), 2);
-  if (scratches.size() < wave) scratches.resize(wave);
-
-  Size guess = ptas_scan_start(instance, options.budget);
-  const Size hard_stop = ptas_scan_stop(instance);
-  std::vector<Size> guesses;
-  std::vector<PtasGuessOutcome> outcomes;
-  while (guess <= hard_stop) {
-    // Next `wave` guesses of the serial sequence, evaluated speculatively.
-    guesses.clear();
-    while (guess <= hard_stop && guesses.size() < wave) {
-      guesses.push_back(guess);
-      guess = ptas_next_guess(guess, delta);
-    }
-    outcomes.assign(guesses.size(), PtasGuessOutcome{});
-    parallel_for(pool, 0, guesses.size(), [&](std::size_t i) {
-      // Wave slot i always uses scratches[i]: deterministic reuse no matter
-      // which worker runs the slot.
-      outcomes[i] = run_guess(instance, guesses[i], delta, options.budget,
-                              options.state_limit, scratches[i],
-                              /*want_assignment=*/true);
-    });
-    // Process outcomes in sequence order: the first decisive one wins,
-    // exactly as the serial scan would have decided, and later speculative
-    // evaluations are discarded (they never count towards the stats).
-    for (std::size_t i = 0; i < guesses.size(); ++i) {
-      ++result.guesses_evaluated;
-      result.states = outcomes[i].states;
-      if (!outcomes[i].within_limit) {
-        result.success = false;
-        return result;
-      }
-      if (outcomes[i].constructed && outcomes[i].cost <= options.budget) {
-        result.success = true;
-        result.accepted_guess = guesses[i];
-        result.result = finalize_result(
-            instance, std::move(outcomes[i].assignment), guesses[i]);
-        assert(result.result.cost <= options.budget);
-        return result;
-      }
-    }
-  }
   assert(false && "PTAS guess scan exhausted");
   return result;
 }

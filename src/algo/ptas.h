@@ -25,6 +25,10 @@
 // Final loads are <= W + u = (1 + 3*delta) * Â <= (1 + eps) * OPT for the
 // accepted guess (Lemma 11 plus the guess granularity).
 //
+// The guess scan runs on the calling thread. It starts at certified lower
+// bounds and usually accepts its first guess, so evaluating later guesses
+// side by side would only waste work (docs/performance.md).
+//
 // Engine notes (see docs/performance.md, "PTAS state representation"): DP
 // states are packed fixed-width integer keys (util/packed_key.h) living in
 // per-layer arenas indexed by a flat open-addressing table
@@ -52,8 +56,6 @@
 #include "util/packed_key.h"
 
 namespace lrb {
-
-class ThreadPool;
 
 struct PtasOptions {
   Cost budget = kInfCost;  ///< the paper's B; kInfCost = unconstrained
@@ -139,23 +141,6 @@ struct PtasGuessOutcome {
                                         const PtasOptions& options,
                                         PtasScratch& scratch);
 
-/// Wave-parallel guess scan over `pool`: the same deterministic guess
-/// sequence is evaluated `wave` guesses at a time (0 = automatic, ~2 per
-/// worker) and the speculative outcomes are processed in sequence order, so
-/// the result — and every stats field — is bit-identical to ptas_rebalance
-/// for any wave size and worker count.
-[[nodiscard]] PtasResult ptas_rebalance_parallel(const Instance& instance,
-                                                 const PtasOptions& options,
-                                                 ThreadPool& pool,
-                                                 std::size_t wave = 0);
-
-/// Scratch variant of the wave-parallel scan: wave slot i always uses
-/// `scratches[i]` (the vector is resized to the wave count), so per-worker
-/// reuse is deterministic and repeat solves reuse warmed arenas.
-[[nodiscard]] PtasResult ptas_rebalance_parallel(
-    const Instance& instance, const PtasOptions& options, ThreadPool& pool,
-    std::vector<PtasScratch>& scratches, std::size_t wave = 0);
-
 // ---- test / bench / differential hooks ------------------------------------
 
 /// The guess-granularity delta for a target eps:
@@ -163,9 +148,8 @@ struct PtasGuessOutcome {
 [[nodiscard]] double ptas_delta(double eps);
 
 /// First guess of the scan (certified lower bounds), its geometric
-/// successor, and the scan's hard stop. Shared by the serial scan, the
-/// wave-parallel scan, and the reference implementation so the three can
-/// never drift apart.
+/// successor, and the scan's hard stop. Shared by the scan and the reference
+/// implementation so the two can never drift apart.
 [[nodiscard]] Size ptas_scan_start(const Instance& instance, Cost budget);
 [[nodiscard]] Size ptas_next_guess(Size guess, double delta);
 [[nodiscard]] Size ptas_scan_stop(const Instance& instance);

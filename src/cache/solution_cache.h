@@ -13,9 +13,9 @@
 // rest (under WaitMode::kBlock) block on the shard's condition variable
 // and receive the leader's published result directly — a batch of
 // identical requests racing in from many connections solves exactly once.
-// Callers that must never park — anything running on (or help-draining)
-// a ThreadPool worker, like the engine — probe with WaitMode::kNoBlock
-// and solve uncached instead of waiting; see lookup_or_begin.
+// Callers that should not park — pool workers and the submitters that
+// help drain a ThreadPool, like the engine's — probe with
+// WaitMode::kNoBlock and solve uncached instead of waiting; see WaitMode.
 //
 // Capacity: max_bytes is divided evenly across shards; each shard evicts
 // from its own LRU tail while over budget. Accounted bytes per entry =
@@ -83,10 +83,9 @@ class SolutionCache {
     kBlock,
     /// Never block: report a plain miss with no leadership, so the caller
     /// solves uncached (the leader still publishes for future probes).
-    /// MANDATORY for callers running on — or help-draining tasks of — a
-    /// ThreadPool worker: a leader that help-drains while solving can pop
-    /// a task that would wait on a *different* key's leader, and two such
-    /// leaders waiting on each other's keys is a permanent wait-for cycle.
+    /// Meant for callers running on — or help-draining tasks of — a
+    /// ThreadPool: a thread parked on the shard cv runs nothing else
+    /// meanwhile, so the tasks queued behind it wait for this key too.
     kNoBlock,
   };
 

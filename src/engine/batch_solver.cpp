@@ -9,6 +9,14 @@
 #include <utility>
 
 namespace lrb::engine {
+namespace {
+
+/// Arena pre-sizing: instances within these bounds never reallocate in the
+/// scan hot path; larger ones grow the arena they lease.
+constexpr std::size_t kWarmJobs = std::size_t{1} << 12;
+constexpr ProcId kWarmProcs = 64;
+
+}  // namespace
 
 RebalanceResult solve_serial_reference(const solver::SolverSpec& spec,
                                        const Instance& instance,
@@ -45,7 +53,7 @@ BatchSolver::BatchSolver(BatchOptions options)
   free_scratch_.reserve(pool_.size() + 1);
   for (std::size_t i = 0; i < pool_.size() + 1; ++i) {
     auto scratch = std::make_unique<Scratch>();
-    scratch->warm(options_.warm_jobs, options_.warm_procs);
+    scratch->warm(kWarmJobs, kWarmProcs);
     free_scratch_.push_back(std::move(scratch));
   }
 }
@@ -60,7 +68,7 @@ BatchSolver::ScratchLease::ScratchLease(BatchSolver& owner) : owner_(owner) {
   }
   if (scratch_ == nullptr) {
     scratch_ = std::make_unique<Scratch>();
-    scratch_->warm(owner_.options_.warm_jobs, owner_.options_.warm_procs);
+    scratch_->warm(kWarmJobs, kWarmProcs);
   }
 }
 
@@ -72,11 +80,8 @@ BatchSolver::ScratchLease::~ScratchLease() {
 RebalanceResult BatchSolver::run_item(Scratch& scratch, const TickItem& item) {
   const Instance& instance = *item.instance;
   solver::SolveContext ctx;
-  ctx.pool = &pool_;
-  ctx.intra_parallel_min_jobs = options_.intra_parallel_min_jobs;
   ctx.m_partition = &scratch.m_partition;
   ctx.ptas = &scratch.ptas;
-  ctx.ptas_wave = &scratch.ptas_wave;
   RebalanceResult result = solver::solve(item.spec, instance, item.k, ctx);
 #ifndef NDEBUG
   // Recheck the reported makespan against the assignment using the arena's
@@ -95,12 +100,11 @@ RebalanceResult BatchSolver::run_item(Scratch& scratch, const TickItem& item) {
 RebalanceResult BatchSolver::solve_canonical(
     const TickItem& item, const cache::CanonicalInstance& canon,
     const cache::Fingerprint& fp, std::string_view key) {
-  // kNoBlock is load-bearing: this runs on pool workers (solve_items
-  // phase 2) and on threads whose run_item help-drains nested
-  // parallel_for tasks. Parking either on the single-flight cv can
-  // deadlock — a leader help-draining another tick's probe task would
-  // wait on that key's leader, which may be waiting on ours. A duplicate
-  // in-flight key therefore solves uncached instead of waiting.
+  // kNoBlock: this runs on pool workers (solve_items phase 2) and on
+  // submitters draining the pool. Either one parked on the single-flight
+  // cv would run nothing else meanwhile, holding up every item queued
+  // behind it. A duplicate in-flight key therefore solves uncached
+  // instead of waiting.
   auto probe = cache_->lookup_or_begin(
       fp, key, cache::SolutionCache::WaitMode::kNoBlock);
   if (probe.hit) return std::move(probe.result);
@@ -125,31 +129,6 @@ RebalanceResult BatchSolver::solve_canonical(
 RebalanceResult BatchSolver::solve_item(const TickItem& item) {
   auto results = solve_items(std::span<const TickItem>(&item, 1));
   return std::move(results.front());
-}
-
-RebalanceResult BatchSolver::solve_one(const Instance& instance,
-                                       std::int64_t k) {
-  TickItem item;
-  item.instance = &instance;
-  item.k = k;
-  item.spec = options_.spec;
-  const auto begin = std::chrono::steady_clock::now();
-  RebalanceResult result;
-  if (cache_ != nullptr) {
-    const cache::CanonicalInstance canon = cache::canonicalize(instance);
-    const std::string key =
-        cache::encode_cache_key(canon.instance, item.spec, item.k);
-    const cache::Fingerprint fp = cache::fingerprint(key);
-    result = cache::map_to_original(canon, solve_canonical(item, canon, fp, key));
-  } else {
-    ScratchLease lease(*this);
-    result = run_item(lease.get(), item);
-    solved_counter_.add(1);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  solve_latency_ms_.record(
-      std::chrono::duration<double, std::milli>(end - begin).count());
-  return result;
 }
 
 std::vector<RebalanceResult> BatchSolver::solve_items_cached(

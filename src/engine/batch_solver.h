@@ -1,21 +1,21 @@
 // The parallel batch-solving engine: fans a stream of rebalancing
-// instances across a ThreadPool with per-worker reusable Scratch arenas,
-// and switches large instances to the intra-instance parallel paths
-// (chunked M-PARTITION threshold scan, wave-parallel PTAS guess scan) on
-// the same pool.
+// instances across a ThreadPool with per-worker reusable Scratch arenas.
+// Each instance is solved serially on one thread; the parallelism is
+// across instances (docs/performance.md says why there is no
+// intra-instance path).
 //
 // Backend selection is a solver::SolverSpec resolved through the solver
 // registry (solver/registry.h, docs/solvers.md); the engine itself
-// contains no per-algorithm dispatch — it only supplies the pool and the
-// scratch arenas to the registry's solve().
+// contains no per-algorithm dispatch — it only supplies the scratch
+// arenas to the registry's solve().
 //
 // Determinism contract: for a fixed (instances, ks, spec) input, solve()
 // returns results byte-identical to calling the serial entry points one
 // instance at a time, for every worker count and across repeated runs.
-// Both intra-instance parallel paths are bit-identical to their serial
-// counterparts by construction (see m_partition.h / ptas.h), and
-// inter-instance parallelism never reorders results: slot i of the output
-// is always instance i's result.
+// The scratch arenas are bit-identical to fresh allocation by
+// construction (see m_partition.h / ptas.h), and inter-instance
+// parallelism never reorders results: slot i of the output is always
+// instance i's result.
 
 #pragma once
 
@@ -31,7 +31,6 @@
 #include "cache/solution_cache.h"
 #include "core/assignment.h"
 #include "core/instance.h"
-#include "core/types.h"
 #include "engine/scratch.h"
 #include "obs/metrics.h"
 #include "solver/registry.h"
@@ -57,17 +56,9 @@ namespace lrb::engine {
 
 struct BatchOptions {
   std::size_t workers = 0;  ///< pool size; 0 = hardware concurrency
-  /// Backend + parameters for solve()/solve_one(); per-item entry points
-  /// carry their own spec.
+  /// Backend + parameters for solve(); per-item entry points carry their
+  /// own spec.
   solver::SolverSpec spec;
-  /// Instances with at least this many jobs also use the intra-instance
-  /// parallel scans. Purely a performance knob: both paths are
-  /// bit-identical to the serial ones.
-  std::size_t intra_parallel_min_jobs = std::size_t{1} << 14;
-  /// Arena pre-sizing: instances within these bounds never reallocate in
-  /// the scan hot path.
-  std::size_t warm_jobs = std::size_t{1} << 12;
-  ProcId warm_procs = 64;
   /// Metrics sink ("engine.*" counters and latency histogram). Defaults to
   /// the process-wide registry; tests and embedding servers may pass their
   /// own. Never read on a path that affects results.
@@ -118,11 +109,6 @@ class BatchSolver {
       std::span<const TickItem> items,
       std::vector<double>* latencies_ms = nullptr);
 
-  /// Solves a single instance on the calling thread (intra-instance
-  /// parallelism still uses the pool for large instances).
-  [[nodiscard]] RebalanceResult solve_one(const Instance& instance,
-                                          std::int64_t k);
-
   /// One-item tick with per-item parameters: the streaming-session replan
   /// entry (svc session handlers run it inline on their reactor thread).
   /// Identical to solve_items over a single-element span, so it carries
@@ -138,9 +124,9 @@ class BatchSolver {
   }
 
  private:
-  /// RAII lease on a Scratch arena from the free list. The list is
-  /// self-healing: an empty list mints a fresh arena, so helping workers
-  /// re-entering solve paths can never deadlock on arenas.
+  /// RAII lease on a Scratch arena from the free list. An empty list
+  /// mints a fresh arena, so any number of submitting threads can solve
+  /// at once without waiting for an arena.
   class ScratchLease {
    public:
     explicit ScratchLease(BatchSolver& owner);
@@ -154,15 +140,16 @@ class BatchSolver {
     std::unique_ptr<Scratch> scratch_;
   };
 
-  /// Runs the item through the registry with this engine's pool and the
-  /// leased arenas, plus a debug-build makespan recheck.
+  /// Runs the item through the registry with the leased arenas, plus a
+  /// debug-build makespan recheck.
   [[nodiscard]] RebalanceResult run_item(Scratch& scratch,
                                          const TickItem& item);
   /// Probe-or-solve for one canonicalized item; returns the result in
-  /// CANONICAL labels. Probes with WaitMode::kNoBlock — it runs on (or
-  /// help-drains into) pool workers, which must never park on the
-  /// single-flight cv — so a key another thread is already solving is
-  /// solved uncached here rather than waited for.
+  /// CANONICAL labels. Probes with WaitMode::kNoBlock — it runs on pool
+  /// workers and on submitters draining the pool, and a thread parked on
+  /// the single-flight cv would run nothing else meanwhile — so a key
+  /// another thread is already solving is solved uncached here rather
+  /// than waited for.
   [[nodiscard]] RebalanceResult solve_canonical(
       const TickItem& item, const cache::CanonicalInstance& canon,
       const cache::Fingerprint& fp, std::string_view key);

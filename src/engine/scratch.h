@@ -19,17 +19,13 @@ namespace lrb::engine {
 /// does and does not cover).
 struct Scratch {
   MPartitionScratch m_partition;
-  PtasScratch ptas;                 ///< serial PTAS guess-scan arena
-  std::vector<PtasScratch> ptas_wave;  ///< wave-parallel PTAS slot arenas
+  PtasScratch ptas;         ///< PTAS guess-scan arena
   std::vector<Size> loads;  ///< per-processor loads for result rechecks
 
   void warm(std::size_t max_jobs, ProcId max_procs) {
     m_partition.warm(max_jobs, max_procs);
     ptas.warm(max_jobs, max_procs);
     loads.reserve(max_procs);
-    // ptas_wave slots are sized (and warmed by first use) lazily by
-    // ptas_rebalance_parallel, which BatchSolver::run_item reaches through
-    // solver::solve: the wave count depends on the pool size.
   }
 };
 

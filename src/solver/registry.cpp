@@ -11,7 +11,6 @@
 #include "algo/lpt.h"
 #include "algo/m_partition.h"
 #include "algo/ptas.h"
-#include "util/thread_pool.h"
 
 namespace lrb::solver {
 namespace {
@@ -26,19 +25,6 @@ MPartitionScratch& ordered_arena(const Instance& instance,
       ctx.m_partition != nullptr ? *ctx.m_partition : local;
   arena.order.build(instance);
   return arena;
-}
-
-/// M-PARTITION over `arena.order` under a context: the entry points are
-/// bit-identical (m_partition.h), so this only picks the cheapest one
-/// available.
-RebalanceResult solve_m_partition(const Instance& instance, std::int64_t k,
-                                  const SolveContext& ctx,
-                                  MPartitionScratch& arena) {
-  if (ctx.pool != nullptr && ctx.pool->size() > 1 &&
-      instance.num_jobs() >= ctx.intra_parallel_min_jobs) {
-    return m_partition_rebalance_parallel(instance, arena.order, k, *ctx.pool);
-  }
-  return m_partition_rebalance(instance, arena.order, k, arena);
 }
 
 constexpr std::string_view kMPartitionAliases[] = {"mpartition"};
@@ -232,15 +218,15 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
       return greedy_rebalance(instance, k);
     case BackendId::kMPartition: {
       MPartitionScratch local;
-      return solve_m_partition(instance, k, ctx,
-                               ordered_arena(instance, ctx, local));
+      MPartitionScratch& arena = ordered_arena(instance, ctx, local);
+      return m_partition_rebalance(instance, arena.order, k, arena);
     }
     case BackendId::kBestOf: {
       // GREEDY and M-PARTITION read one size order; PARTITION wins ties.
       MPartitionScratch local;
       MPartitionScratch& arena = ordered_arena(instance, ctx, local);
       auto greedy = greedy_rebalance(instance, arena.order, k);
-      auto partition = solve_m_partition(instance, k, ctx, arena);
+      auto partition = m_partition_rebalance(instance, arena.order, k, arena);
       return partition.makespan <= greedy.makespan ? std::move(partition)
                                                    : std::move(greedy);
     }
@@ -248,18 +234,9 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
       PtasOptions options;
       options.budget = spec.params.budget;
       options.eps = spec.params.eps;
-      PtasResult ptas;
-      if (ctx.pool != nullptr && ctx.pool->size() > 1 &&
-          instance.num_jobs() >= ctx.intra_parallel_min_jobs) {
-        ptas = ctx.ptas_wave != nullptr
-                   ? ptas_rebalance_parallel(instance, options, *ctx.pool,
-                                             *ctx.ptas_wave)
-                   : ptas_rebalance_parallel(instance, options, *ctx.pool);
-      } else if (ctx.ptas != nullptr) {
-        ptas = ptas_rebalance(instance, options, *ctx.ptas);
-      } else {
-        ptas = ptas_rebalance(instance, options);
-      }
+      PtasResult ptas = ctx.ptas != nullptr
+                            ? ptas_rebalance(instance, options, *ctx.ptas)
+                            : ptas_rebalance(instance, options);
       if (ctx.gave_up != nullptr) *ctx.gave_up = !ptas.success;
       return std::move(ptas.result);
     }
@@ -268,10 +245,10 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
       return lpt_schedule(instance);
     case BackendId::kLocalSearch: {
       // m_partition_ls_rebalance, decomposed so the base solve can use the
-      // context's scratch/parallel paths (bit-identical to the plain one).
+      // context's scratch arena (bit-identical to the plain one).
       MPartitionScratch local;
-      auto base = solve_m_partition(instance, k, ctx,
-                                    ordered_arena(instance, ctx, local));
+      MPartitionScratch& arena = ordered_arena(instance, ctx, local);
+      auto base = m_partition_rebalance(instance, arena.order, k, arena);
       LocalSearchOptions options;
       options.max_moves = k;
       return local_search_improve(instance, base, options);

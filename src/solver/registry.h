@@ -15,14 +15,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/assignment.h"
 #include "core/instance.h"
 #include "solver/spec.h"
 
 namespace lrb {
-class ThreadPool;
 struct MPartitionScratch;
 struct PtasScratch;
 }  // namespace lrb
@@ -105,19 +103,13 @@ struct BackendDescriptor {
 /// legacy backends keep their hit ranges.
 void encode_key_params(const SolverSpec& spec, std::string* out);
 
-/// Optional acceleration context for solve(): a thread pool for the
-/// intra-instance parallel scans and per-backend scratch arenas. Default
-/// construction means "serial, allocate as you go" — exactly the serial
-/// reference. Every accelerated path is bit-identical to the serial one
-/// (m_partition.h / ptas.h), so a context never changes results.
+/// Optional context for solve(): per-backend scratch arenas that a caller
+/// reuses across solves. Default construction means "allocate as you go" —
+/// exactly the serial reference. Every scratch path is bit-identical to the
+/// plain one (m_partition.h / ptas.h), so a context never changes results.
 struct SolveContext {
-  ThreadPool* pool = nullptr;
-  /// Instances with at least this many jobs use the intra-instance
-  /// parallel scans when `pool` has more than one worker.
-  std::size_t intra_parallel_min_jobs = static_cast<std::size_t>(-1);
   MPartitionScratch* m_partition = nullptr;
   PtasScratch* ptas = nullptr;
-  std::vector<PtasScratch>* ptas_wave = nullptr;
   /// When non-null, set to whether the backend gave up and returned its
   /// identity fallback (the PTAS past its state limit). Backends that never
   /// give up leave it untouched.

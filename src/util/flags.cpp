@@ -1,8 +1,17 @@
 #include "util/flags.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace lrb {
+
+std::optional<std::int64_t> parse_count(std::string_view text) {
+  const char* end = text.data() + text.size();
+  std::int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < 0) return std::nullopt;
+  return value;
+}
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -38,6 +47,13 @@ std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const
   const auto v = get(key);
   if (!v) return fallback;
   return std::strtoll(v->c_str(), nullptr, 10);
+}
+
+std::optional<std::int64_t> Flags::get_count(const std::string& key,
+                                             std::int64_t fallback) const {
+  const auto v = get(key);
+  if (!v) return fallback;
+  return parse_count(*v);
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {

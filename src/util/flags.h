@@ -8,9 +8,14 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lrb {
+
+/// Parses `text` as a count: a whole base-10 number >= 0 with nothing
+/// around it. nullopt for negative, non-numeric or out-of-range text.
+[[nodiscard]] std::optional<std::int64_t> parse_count(std::string_view text);
 
 class Flags {
  public:
@@ -22,6 +27,10 @@ class Flags {
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// The value as a count (see parse_count): `fallback` when the flag is
+  /// absent, nullopt when its value is negative or not a number.
+  [[nodiscard]] std::optional<std::int64_t> get_count(
+      const std::string& key, std::int64_t fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {

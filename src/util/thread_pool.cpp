@@ -37,11 +37,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 bool ThreadPool::try_run_one() {
   std::packaged_task<void()> task;
   {
@@ -49,14 +44,8 @@ bool ThreadPool::try_run_one() {
     if (queue_.empty()) return false;
     task = std::move(queue_.front());
     queue_.pop();
-    ++in_flight_;
   }
   task();
-  {
-    std::lock_guard lock(mutex_);
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-  }
   return true;
 }
 
@@ -69,14 +58,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stop_ and drained
       task = std::move(queue_.front());
       queue_.pop();
-      ++in_flight_;
     }
     task();  // exceptions are captured into the packaged_task's future
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
@@ -90,7 +73,8 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   }
   // Help drain the queue while waiting. Without this, a pool task that
   // itself calls parallel_for would park its worker on futures whose tasks
-  // can never be scheduled once every worker is parked the same way.
+  // can never be scheduled once every worker is parked the same way, and a
+  // submitter would sit idle while its own iterations wait in the queue.
   for (auto& f : futures) {
     while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
       if (!pool.try_run_one()) {

@@ -1,4 +1,4 @@
-// A small fixed-size thread pool with a blocking task queue and a
+// A small fixed-size thread pool with one FIFO task queue and a
 // parallel_for helper, used by the batch-solving engine (src/engine), the
 // benchmark sweeps and the parallel fuzz driver.
 //
@@ -6,9 +6,10 @@
 // thunks; submission after shutdown is a programmer error (asserted); the
 // destructor joins all workers (draining any still-queued work first), so
 // the pool is exception-safe to scope. parallel_for lets a blocked caller
-// help drain the queue (try_run_one), which makes nested parallel_for calls
-// issued from inside pool tasks deadlock-free: a worker waiting on inner
-// iterations executes them itself instead of parking its slot.
+// help drain the queue (try_run_one): the engine's submitting threads (a
+// server's tick workers, and reactors replanning a session inline) run
+// queued items themselves instead of parking, and a parallel_for nested in
+// a pool task cannot deadlock.
 
 #pragma once
 
@@ -38,9 +39,6 @@ class ThreadPool {
   /// Enqueues a task; the returned future reports completion / exceptions.
   std::future<void> submit(std::function<void()> task);
 
-  /// Blocks until every task submitted so far has finished.
-  void wait_idle();
-
   /// Runs one queued task on the calling thread if one is immediately
   /// available; returns false when the queue was empty. Lets blocked
   /// submitters contribute cycles instead of parking (see parallel_for).
@@ -53,8 +51,6 @@ class ThreadPool {
   std::queue<std::packaged_task<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

@@ -80,15 +80,24 @@ TEST(Flags, DefaultsWhenAbsent) {
   const Flags flags(1, argv);
   EXPECT_FALSE(flags.get("anything").has_value());
   EXPECT_EQ(flags.get_int("k", 7), 7);
+  EXPECT_EQ(flags.get_count("workers", 3), 3);
   EXPECT_EQ(flags.get_or("algo", "greedy"), "greedy");
   EXPECT_TRUE(flags.positional().empty());
 }
 
 TEST(Flags, NegativeNumbersAsValues) {
-  const char* argv[] = {"tool", "--offset", "-3"};
-  const Flags flags(3, argv);
+  const char* argv[] = {"tool", "--offset", "-3", "--workers", "x"};
+  const Flags flags(5, argv);
   // "-3" does not start with "--", so it binds as the value.
   EXPECT_EQ(flags.get_int("offset", 0), -3);
+  // A count refuses it, and anything that is not a whole number.
+  EXPECT_FALSE(flags.get_count("offset", 0).has_value());
+  EXPECT_FALSE(flags.get_count("workers", 0).has_value());
+  EXPECT_EQ(parse_count("0"), 0);
+  EXPECT_EQ(parse_count("12"), 12);
+  EXPECT_FALSE(parse_count("").has_value());
+  EXPECT_FALSE(parse_count("4x").has_value());
+  EXPECT_FALSE(parse_count("99999999999999999999").has_value());
 }
 
 TEST(Flags, KeysEnumerated) {

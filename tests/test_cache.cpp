@@ -72,6 +72,16 @@ std::vector<ProcId> random_proc_perm(ProcId m, Rng& rng) {
   return perm;
 }
 
+/// One single-item tick with the solver's default spec.
+RebalanceResult solve_alone(engine::BatchSolver& solver,
+                            const Instance& instance, std::int64_t k) {
+  engine::BatchSolver::TickItem item;
+  item.instance = &instance;
+  item.k = k;
+  item.spec = solver.options().spec;
+  return solver.solve_item(item);
+}
+
 std::string canonical_key(const Instance& instance) {
   const CanonicalInstance canon = cache::canonicalize(instance);
   return cache::encode_cache_key(canon.instance, BackendId::kBestOf, /*k=*/7);
@@ -447,14 +457,14 @@ TEST(CacheEngine, RelabeledInstancesHitTheSameEntry) {
 
   Rng rng(0x5150);
   const Instance instance = corpus_instance(11);
-  const RebalanceResult original = solver.solve_one(instance, 6);
+  const RebalanceResult original = solve_alone(solver, instance, 6);
   EXPECT_EQ(registry.counter("engine.instances_solved").value(), 1u);
 
   for (int trial = 0; trial < 5; ++trial) {
     const auto job_perm = random_job_perm(instance.num_jobs(), rng);
     const auto proc_perm = random_proc_perm(instance.num_procs, rng);
     const Instance shuffled = relabel(instance, job_perm, proc_perm);
-    const RebalanceResult got = solver.solve_one(shuffled, 6);
+    const RebalanceResult got = solve_alone(solver, shuffled, 6);
     // Same canonical entry (no extra solve), mapped back to the relabeled
     // instance's own labels — byte-identical to its serial reference.
     const RebalanceResult want = engine::cached_serial_reference(
@@ -496,21 +506,17 @@ TEST(CacheEngine, BatchDedupSolvesIdenticalItemsOnce) {
 }
 
 TEST(CacheEngine, ConcurrentTicksSharingKeysNeverDeadlock) {
-  // Regression for a wait-for cycle: a single-flight leader whose solve
-  // enters a nested parallel_for help-drains the pool queue, and could
-  // pop ANOTHER tick's probe task — which then parked on a different
-  // key's leader, itself blocked the same way on the first key. Two
-  // concurrent ticks sharing two duplicate keys could hang forever. The
-  // engine now probes with WaitMode::kNoBlock, so this hammer — ticks
-  // racing over the same key set from several threads, with every solve
-  // forced through the nested intra-instance parallel path — must always
-  // terminate, every reply byte-identical to the cached reference.
+  // Ticks racing over the same key set from several threads, each
+  // submitter help-draining the others' tasks, keep meeting each other's
+  // in-flight leaders. Every tick must terminate with every reply
+  // byte-identical to the cached reference, whether its key was a hit,
+  // its own leader's solve, or a WaitMode::kNoBlock bypass solved
+  // uncached.
   obs::Registry registry;
   engine::BatchOptions options;
   options.workers = 2;
   options.cache_bytes = std::size_t{8} << 20;
   options.metrics = &registry;
-  options.intra_parallel_min_jobs = 1;  // every solve help-drains
   engine::BatchSolver solver(options);
 
   std::vector<Instance> instances;
@@ -600,7 +606,7 @@ TEST(CacheEngine, DedupKeysDistinguishAlgoAndPtasParameters) {
 }
 
 TEST(CacheEngine, ManyThreadsHammeringTheSolverStayConsistent) {
-  // TSan target: concurrent solve_one calls over a small instance pool
+  // TSan target: concurrent single-item ticks over a small instance pool
   // exercise probe / single-flight / publish / eviction from many threads.
   obs::Registry registry;
   engine::BatchOptions options;
@@ -630,7 +636,7 @@ TEST(CacheEngine, ManyThreadsHammeringTheSolverStayConsistent) {
       for (int iter = 0; iter < 40; ++iter) {
         const auto index = static_cast<std::size_t>(
             rng.uniform_int(0, kInstances - 1));
-        const RebalanceResult got = solver.solve_one(instances[index], 3);
+        const RebalanceResult got = solve_alone(solver, instances[index], 3);
         if (got.assignment != want[index].assignment) failed.store(true);
       }
     });

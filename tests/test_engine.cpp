@@ -2,9 +2,8 @@
 //
 // The contract under test: BatchSolver::solve is byte-identical to running
 // the serial entry points one instance at a time, for every worker count,
-// across repeated runs, and per generator family; and the intra-instance
-// parallel scans (chunked M-PARTITION, wave-parallel PTAS) reproduce their
-// serial counterparts exactly, statistics included.
+// across repeated runs, per generator family, and for instances that
+// outgrow the engine's warmed arenas.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "core/instance.h"
 #include "engine/batch_solver.h"
 #include "solver/registry.h"
-#include "util/thread_pool.h"
 
 namespace lrb {
 namespace {
@@ -179,33 +177,6 @@ TEST(BatchSolver, MatchesSerialAcrossWorkerCountsAndRuns) {
   }
 }
 
-TEST(BatchSolver, ForcedIntraParallelPathStaysIdentical) {
-  // Drop the intra-instance threshold to 0 so even tiny instances route
-  // through the chunked parallel scan; results must not change.
-  const auto corpus = family_corpus();
-  std::vector<Instance> instances;
-  std::vector<std::int64_t> ks;
-  for (const auto& c : corpus) {
-    instances.push_back(c.instance);
-    ks.push_back(c.k);
-  }
-  std::vector<RebalanceResult> expected;
-  for (const auto& c : corpus) {
-    expected.push_back(
-        serial_reference(BackendId::kMPartition, c.instance, c.k));
-  }
-  BatchOptions options;
-  options.workers = 4;
-  options.spec = BackendId::kMPartition;
-  options.intra_parallel_min_jobs = 0;
-  BatchSolver solver(options);
-  const auto results = solver.solve(instances, ks);
-  ASSERT_EQ(results.size(), corpus.size());
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    expect_same(results[i], expected[i], "intra-parallel " + corpus[i].name);
-  }
-}
-
 TEST(BatchSolver, PtasMatchesSerial) {
   GeneratorOptions gen;
   gen.num_jobs = 10;
@@ -257,8 +228,12 @@ TEST(BatchSolver, SolveOneMatchesSolveAndFillsLatencies) {
   ASSERT_EQ(latencies.size(), corpus.size());
   for (double l : latencies) EXPECT_GE(l, 0.0);
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    expect_same(solver.solve_one(instances[i], ks[i]), results[i],
-                "solve_one " + corpus[i].name);
+    BatchSolver::TickItem item;
+    item.instance = &instances[i];
+    item.k = ks[i];
+    item.spec = options.spec;
+    expect_same(solver.solve_item(item), results[i],
+                "solve_item " + corpus[i].name);
   }
 }
 
@@ -391,73 +366,35 @@ TEST(BatchSolver, AWarmedArenaReusedAcrossInstanceShapesLeavesNothingStale) {
   }
 }
 
-TEST(ParallelMPartition, BitIdenticalIncludingStatsForAnyChunkCount) {
-  ThreadPool pool(4);
-  const auto corpus = family_corpus();
-  for (const auto& c : corpus) {
-    MPartitionStats serial_stats;
-    const auto serial = m_partition_rebalance(c.instance, c.k, &serial_stats);
-    for (std::size_t chunks : {std::size_t{2}, std::size_t{3},
-                               std::size_t{8}}) {
-      MPartitionStats par_stats;
-      const auto par = m_partition_rebalance_parallel(c.instance, c.k, pool,
-                                                      &par_stats, chunks);
-      expect_same(par, serial,
-                  c.name + " chunks=" + std::to_string(chunks));
-      EXPECT_EQ(par_stats.accepted_threshold, serial_stats.accepted_threshold)
-          << c.name;
-      EXPECT_EQ(par_stats.start_threshold, serial_stats.start_threshold)
-          << c.name;
-      EXPECT_EQ(par_stats.removals, serial_stats.removals) << c.name;
-      EXPECT_EQ(par_stats.guesses_evaluated, serial_stats.guesses_evaluated)
-          << c.name;
-    }
-  }
-}
-
-TEST(ParallelMPartition, LargerInstanceAutoChunking) {
-  ThreadPool pool(4);
+TEST(BatchSolver, LargeInstancesMatchSerial) {
+  // Past the engine's warmed arena bounds (4096 jobs, 64 processors), so
+  // the leased arenas must grow, and then serve a small instance and the
+  // large one again without reading what the previous solve left.
   GeneratorOptions gen;
-  gen.num_jobs = 5000;
-  gen.num_procs = 32;
-  gen.max_size = 2000;
+  gen.num_jobs = (std::size_t{1} << 14) + 1;
+  gen.num_procs = 96;
   gen.placement = PlacementPolicy::kHotspot;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const auto inst = random_instance(gen, seed);
-    MPartitionStats serial_stats, par_stats;
-    const auto serial = m_partition_rebalance(inst, 50, &serial_stats);
-    // chunks = 0: the implementation picks the chunking itself.
-    const auto par =
-        m_partition_rebalance_parallel(inst, 50, pool, &par_stats, 0);
-    expect_same(par, serial, "auto-chunk seed=" + std::to_string(seed));
-    EXPECT_EQ(par_stats.guesses_evaluated, serial_stats.guesses_evaluated);
-  }
-}
-
-TEST(ParallelPtas, BitIdenticalForAnyWaveSize) {
-  ThreadPool pool(4);
-  GeneratorOptions gen;
-  gen.num_jobs = 10;
-  gen.num_procs = 3;
-  gen.max_size = 25;
-  gen.placement = PlacementPolicy::kHotspot;
-  gen.cost_model = CostModel::kUniform;
-  gen.max_cost = 5;
-  PtasOptions options;
-  options.budget = 8;
-  options.eps = 0.5;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto inst = random_instance(gen, seed);
-    const auto serial = ptas_rebalance(inst, options);
-    for (std::size_t wave : {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
-      const auto par = ptas_rebalance_parallel(inst, options, pool, wave);
-      const std::string label =
-          "seed=" + std::to_string(seed) + " wave=" + std::to_string(wave);
-      EXPECT_EQ(par.success, serial.success) << label;
-      expect_same(par.result, serial.result, label);
-      EXPECT_EQ(par.accepted_guess, serial.accepted_guess) << label;
-      EXPECT_EQ(par.states, serial.states) << label;
-      EXPECT_EQ(par.guesses_evaluated, serial.guesses_evaluated) << label;
+  const Instance large = random_instance(gen, 7);
+  gen.num_jobs = 32;
+  gen.num_procs = 4;
+  const Instance small = random_instance(gen, 8);
+  const std::vector<std::pair<std::string, const Instance*>> order = {
+      {"large", &large}, {"small", &small}, {"large again", &large}};
+  BatchOptions options;
+  options.workers = 4;
+  BatchSolver solver(options);
+  for (const auto& [name, instance] : order) {
+    const std::int64_t k =
+        static_cast<std::int64_t>(instance->num_jobs() / 8);
+    for (BackendId backend : {BackendId::kGreedy, BackendId::kMPartition,
+                              BackendId::kBestOf, BackendId::kLocalSearch}) {
+      BatchSolver::TickItem item;
+      item.instance = instance;
+      item.k = k;
+      item.spec = backend;
+      expect_same(solver.solve_item(item),
+                  engine::solve_serial_reference(backend, *instance, k),
+                  std::string(solver::backend_name(backend)) + " " + name);
     }
   }
 }

@@ -17,7 +17,6 @@
 #include "util/flat_hash.h"
 #include "util/packed_key.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 // ---- allocation-counting hook (whole test binary) -------------------------
 // Counts every operator-new in the process; tests read the delta around the
@@ -272,7 +271,7 @@ TEST(PtasDpRegression, NeverMoreStatesThanReference) {
   EXPECT_GT(total_states, 500u);  // the corpus is not trivial
 }
 
-// ---- scratch reuse and parallel determinism -------------------------------
+// ---- scratch reuse --------------------------------------------------------
 
 TEST(PtasEngine, ScratchReuseIsBitIdentical) {
   PtasScratch reused;
@@ -290,25 +289,6 @@ TEST(PtasEngine, ScratchReuseIsBitIdentical) {
     EXPECT_EQ(fresh.result.assignment, warm.result.assignment);
     EXPECT_EQ(fresh.result.cost, warm.result.cost);
     EXPECT_EQ(fresh.result.makespan, warm.result.makespan);
-  }
-}
-
-TEST(PtasEngine, ParallelScanMatchesSerialWithScratches) {
-  ThreadPool pool(4);
-  std::vector<PtasScratch> scratches;
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const auto instance = corpus_instance(6500 + seed, 10, 3, 60, seed);
-    PtasOptions options;
-    options.eps = 0.5;
-    const auto serial = ptas_rebalance(instance, options);
-    const auto parallel =
-        ptas_rebalance_parallel(instance, options, pool, scratches, 3);
-    EXPECT_EQ(serial.success, parallel.success);
-    EXPECT_EQ(serial.accepted_guess, parallel.accepted_guess);
-    EXPECT_EQ(serial.states, parallel.states);
-    EXPECT_EQ(serial.guesses_evaluated, parallel.guesses_evaluated);
-    EXPECT_EQ(serial.result.assignment, parallel.result.assignment);
-    EXPECT_EQ(serial.result.cost, parallel.result.cost);
   }
 }
 

@@ -27,6 +27,7 @@
 #include "algo/lpt.h"
 #include "algo/m_partition.h"
 #include "algo/partition.h"
+#include "algo/ptas.h"
 #include "check/certify.h"
 #include "core/assignment.h"
 #include "core/generators.h"
@@ -35,7 +36,6 @@
 #include "solver/registry.h"
 #include "svc/wire.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace lrb {
 namespace {
@@ -211,12 +211,14 @@ TEST(SolverRegistry, CacheKeyParamsSeparateBackendsAndConsumedKnobs) {
 TEST(SolverRegistry, NewBackendsMatchTheirLibraryEntryPoints) {
   // The dispatch switch must be faithful: registry solves of the
   // registry-born backends equal the direct library calls, serial and
-  // under a forced-parallel context alike. (greedy/m-partition/best-of/
-  // ptas get the same treatment in test_engine.cpp.)
-  ThreadPool pool(4);
+  // under a scratch-arena context reused across instances alike.
+  // (greedy/m-partition/best-of/ptas get the same treatment in
+  // test_engine.cpp.)
+  MPartitionScratch m_partition_scratch;
+  PtasScratch ptas_scratch;
   solver::SolveContext ctx;
-  ctx.pool = &pool;
-  ctx.intra_parallel_min_jobs = 1;  // force the parallel scan paths
+  ctx.m_partition = &m_partition_scratch;
+  ctx.ptas = &ptas_scratch;
   for (std::size_t index = 0; index < 12; ++index) {
     const Instance instance = mixed_corpus_instance(index, 0x501fe4);
     const std::int64_t k = static_cast<std::int64_t>(index % 5) + 1;

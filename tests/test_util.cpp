@@ -263,31 +263,6 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, WaitIdleDrains) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&counter] { ++counter; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPool, WaitIdleCoversNestedSubmissions) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&pool, &counter] {
-      ++counter;
-      // Tasks submitted from inside tasks must also be drained before
-      // wait_idle returns.
-      pool.submit([&counter] { ++counter; });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 16);
-}
-
 TEST(ThreadPool, DestructorDrainsPendingWork) {
   std::atomic<int> counter{0};
   {

@@ -107,6 +107,22 @@ int main(int argc, char** argv) {
     return fail(*problem);
   }
 
+  // ---- Worker configurations. ----
+  std::vector<std::size_t> worker_list;
+  {
+    std::stringstream ss(flags.get_or("workers", "1,0"));
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      if (item.empty()) continue;
+      const auto workers = parse_count(item);
+      if (!workers) {
+        return fail("--workers wants worker counts >= 0, like 1,2,4");
+      }
+      worker_list.push_back(static_cast<std::size_t>(*workers));
+    }
+    if (worker_list.empty()) return fail("--workers list is empty");
+  }
+
   // ---- Corpus. ----
   std::vector<Instance> instances;
   std::string corpus_source;
@@ -136,18 +152,6 @@ int main(int argc, char** argv) {
     ks[i] = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(
                k_frac * static_cast<double>(instances[i].num_jobs())));
-  }
-
-  // ---- Worker configurations. ----
-  std::vector<std::size_t> worker_list;
-  {
-    std::stringstream ss(flags.get_or("workers", "1,0"));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      worker_list.push_back(static_cast<std::size_t>(std::stoull(item)));
-    }
-    if (worker_list.empty()) return fail("--workers list is empty");
   }
 
   // ---- Runs. ----

@@ -26,10 +26,11 @@
 //   --expect-max-jobs N (0)  with --expect-violation: require every
 //                         minimized repro to have at most N jobs
 //   --jobs N (1)          run iterations in waves of N on a thread pool;
-//                         also adds the engine's parallel M-PARTITION to
-//                         the harness (certified like m-partition) and
-//                         bit-compares it against the serial scan, so the
-//                         concurrent path is differentially fuzzed too.
+//                         also solves M-PARTITION through one shared
+//                         N-worker engine::BatchSolver, certifies it like
+//                         m-partition and bit-compares it against the
+//                         serial entry point, so concurrent iterations
+//                         contend for the engine's pool and leased arenas.
 //                         Violations are still shrunk and written serially,
 //                         in iteration order.
 //   --algo NAME (roster)  "roster" is the default differential harness over
@@ -38,14 +39,14 @@
 //                         implementation (check/ptas_reference): every
 //                         guess of the shared scan sequence must match on
 //                         acceptance, cost, state count, and reconstructed
-//                         assignment, and the full serial / scratch-reuse /
-//                         wave-parallel solves must be bit-identical.
+//                         assignment, and the full serial and scratch-reuse
+//                         solves must be bit-identical.
 //                         Any other registry backend with a direct library
 //                         entry point (every one but best-of) instead
 //                         fuzzes that backend through the solver
 //                         registry: the registry solve must be
 //                         bit-identical to the direct algorithm entry
-//                         point AND to the scratch/pool-context solve, and
+//                         point AND to the scratch-arena context solve, and
 //                         the result must pass the certificate of its
 //                         descriptor's guarantee (check/certify). Budgeted
 //                         backends get the drawn cost budget. Violations
@@ -201,24 +202,27 @@ FuzzCase draw_case(Rng& rng, std::int64_t max_jobs, std::int64_t max_procs) {
   return out;
 }
 
-/// True iff the engine's chunked parallel scan reproduces the serial scan
-/// bit-for-bit (results and stats) on this instance — the engine's core
-/// determinism contract, checked here under real pool contention.
+/// M-PARTITION solved through the shared engine (its pool and leased
+/// arenas), as the serving layer solves one request.
+RebalanceResult engine_m_partition(engine::BatchSolver& batch,
+                                   const Instance& instance, std::int64_t k) {
+  engine::BatchSolver::TickItem item;
+  item.instance = &instance;
+  item.k = k;
+  item.spec = solver::BackendId::kMPartition;
+  return batch.solve_item(item);
+}
+
+/// True iff the engine's M-PARTITION reproduces the serial entry point
+/// bit-for-bit on this instance — the engine's core determinism contract,
+/// checked here under real contention for its pool and arenas.
 bool engine_matches_serial(const Instance& instance, std::int64_t k,
-                           ThreadPool& pool) {
-  MPartitionStats serial_stats;
-  MPartitionStats parallel_stats;
-  const auto serial = m_partition_rebalance(instance, k, &serial_stats);
-  const auto parallel =
-      m_partition_rebalance_parallel(instance, k, pool, &parallel_stats, 2);
-  return serial.assignment == parallel.assignment &&
-         serial.makespan == parallel.makespan &&
-         serial.moves == parallel.moves && serial.cost == parallel.cost &&
-         serial.threshold == parallel.threshold &&
-         serial_stats.accepted_threshold == parallel_stats.accepted_threshold &&
-         serial_stats.start_threshold == parallel_stats.start_threshold &&
-         serial_stats.removals == parallel_stats.removals &&
-         serial_stats.guesses_evaluated == parallel_stats.guesses_evaluated;
+                           engine::BatchSolver& batch) {
+  const auto serial = m_partition_rebalance(instance, k);
+  const auto got = engine_m_partition(batch, instance, k);
+  return serial.assignment == got.assignment &&
+         serial.makespan == got.makespan && serial.moves == got.moves &&
+         serial.cost == got.cost && serial.threshold == got.threshold;
 }
 
 bool ensure_corpus_dir(const std::string& corpus, bool& ready) {
@@ -285,10 +289,10 @@ PtasCase draw_ptas_case(Rng& rng, std::int64_t max_jobs,
 }
 
 /// Empty string iff the production PTAS engine and the reference DP agree on
-/// every guess of the shared scan, and the serial / scratch-reuse /
-/// wave-parallel full solves are bit-identical.
+/// every guess of the shared scan, and the serial and scratch-reuse full
+/// solves are bit-identical.
 std::string ptas_divergence(const Instance& instance, double eps, Cost budget,
-                            std::size_t state_limit, ThreadPool& pool) {
+                            std::size_t state_limit) {
   PtasScratch scratch;
   const double delta = ptas_delta(eps);
   Size guess = ptas_scan_start(instance, budget);
@@ -334,8 +338,6 @@ std::string ptas_divergence(const Instance& instance, double eps, Cost budget,
   // change anything.
   const auto reused = ptas_rebalance(instance, options, scratch);
   if (!same(serial, reused)) return "scratch-reuse solve diverges from fresh";
-  const auto parallel = ptas_rebalance_parallel(instance, options, pool, 3);
-  if (!same(serial, parallel)) return "wave-parallel solve diverges";
   return {};
 }
 
@@ -494,13 +496,12 @@ std::optional<RebalanceResult> direct_entry_point(
 
 /// Empty string iff the registry's solve of `spec` is bit-identical to the
 /// backend's direct algorithm entry point AND to the registry solve under a
-/// scratch/pool context (forced intra-parallel threshold), and the result
-/// passes the a-priori certificate of the backend's guarantee. The
-/// differential target here is the registry seam itself: dispatch, context
-/// plumbing and normalization must not change results.
+/// scratch-arena context, and the result passes the a-priori certificate of
+/// the backend's guarantee. The differential target here is the registry
+/// seam itself: dispatch, context plumbing and normalization must not
+/// change results.
 std::string backend_divergence(const solver::SolverSpec& spec,
-                               const Instance& instance, std::int64_t k,
-                               ThreadPool& pool) {
+                               const Instance& instance, std::int64_t k) {
   const RebalanceResult got = solver::solve_serial(spec, instance, k);
   const auto direct = direct_entry_point(spec, instance, k);
   if (!direct) return "backend has no direct differential reference";
@@ -512,15 +513,13 @@ std::string backend_divergence(const solver::SolverSpec& spec,
   MPartitionScratch m_partition_scratch;
   PtasScratch ptas_scratch;
   solver::SolveContext ctx;
-  ctx.pool = &pool;
-  ctx.intra_parallel_min_jobs = 2;  // force the parallel scan paths
   ctx.m_partition = &m_partition_scratch;
   ctx.ptas = &ptas_scratch;
-  const RebalanceResult accelerated = solver::solve(spec, instance, k, ctx);
-  if (got.assignment != accelerated.assignment ||
-      got.makespan != accelerated.makespan || got.moves != accelerated.moves ||
-      got.cost != accelerated.cost || got.threshold != accelerated.threshold) {
-    return "context/parallel solve diverges from the serial solve";
+  const RebalanceResult scratched = solver::solve(spec, instance, k, ctx);
+  if (got.assignment != scratched.assignment ||
+      got.makespan != scratched.makespan || got.moves != scratched.moves ||
+      got.cost != scratched.cost || got.threshold != scratched.threshold) {
+    return "scratch-context solve diverges from the serial solve";
   }
   const auto certificate = certify_solution(
       instance, got, guarantee_check(spec, instance, k, got).apriori);
@@ -603,8 +602,6 @@ int main(int argc, char** argv) {
   if (cache_mode && algo != "roster") {
     return fail("--cache and --algo " + algo + " are mutually exclusive");
   }
-  std::unique_ptr<ThreadPool> pool;
-  if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
 
   Timer timer;
   std::int64_t violations = 0;
@@ -615,7 +612,6 @@ int main(int argc, char** argv) {
   if (algo == "ptas") {
     // PTAS differential mode: engine vs reference, serially, one case per
     // iteration (the DP itself is the expensive part).
-    ThreadPool ptas_pool(pool != nullptr ? jobs : 2);
     for (;;) {
       if (iters > 0 && iteration >= static_cast<std::uint64_t>(iters)) break;
       if (time_budget > 0.0 && timer.millis() >= time_budget * 1000.0) break;
@@ -626,7 +622,7 @@ int main(int argc, char** argv) {
       auto fuzz_case = draw_ptas_case(rng, max_jobs, max_procs);
       const auto divergence =
           ptas_divergence(fuzz_case.instance, fuzz_case.eps, fuzz_case.budget,
-                          fuzz_case.state_limit, ptas_pool);
+                          fuzz_case.state_limit);
       if (divergence.empty()) continue;
 
       ++violations;
@@ -636,7 +632,7 @@ int main(int argc, char** argv) {
                 << ", eps=" << fuzz_case.eps << "): " << divergence << "\n";
       const auto still_diverges = [&](const Instance& candidate) {
         return !ptas_divergence(candidate, fuzz_case.eps, fuzz_case.budget,
-                                fuzz_case.state_limit, ptas_pool)
+                                fuzz_case.state_limit)
                     .empty();
       };
       ShrinkOptions shrink_options;
@@ -659,8 +655,7 @@ int main(int argc, char** argv) {
       if (fuzz_case.budget != kInfCost) out << " budget=" << fuzz_case.budget;
       out << "\n# divergence: "
           << ptas_divergence(minimized.instance, fuzz_case.eps,
-                             fuzz_case.budget, fuzz_case.state_limit,
-                             ptas_pool)
+                             fuzz_case.budget, fuzz_case.state_limit)
           << "\n";
       write_instance(out, minimized.instance);
       std::cerr << "lrb_fuzz: minimized to n=" << minimized.instance.num_jobs()
@@ -682,9 +677,8 @@ int main(int argc, char** argv) {
 
   if (backend_mode) {
     // Registry backend differential mode: registry dispatch vs the direct
-    // algorithm entry point vs the context-accelerated solve, plus the
+    // algorithm entry point vs the scratch-context solve, plus the
     // certificate of the backend's guarantee, one case per iteration.
-    ThreadPool backend_pool(pool != nullptr ? jobs : 2);
     const std::string backend_name =
         solver::backend_name(backend_spec.backend);
     for (;;) {
@@ -701,7 +695,7 @@ int main(int argc, char** argv) {
         spec.params.budget = fuzz_case.options.budget;
       }
       const auto divergence =
-          backend_divergence(spec, fuzz_case.instance, k, backend_pool);
+          backend_divergence(spec, fuzz_case.instance, k);
       if (divergence.empty()) continue;
 
       ++violations;
@@ -711,7 +705,7 @@ int main(int argc, char** argv) {
                 << ", m=" << fuzz_case.instance.num_procs << ", k=" << k
                 << "): " << divergence << "\n";
       const auto still_diverges = [&](const Instance& candidate) {
-        return !backend_divergence(spec, candidate, k, backend_pool).empty();
+        return !backend_divergence(spec, candidate, k).empty();
       };
       ShrinkOptions shrink_options;
       shrink_options.max_evaluations = 2'000;
@@ -734,7 +728,7 @@ int main(int argc, char** argv) {
         out << " budget=" << spec.params.budget;
       }
       out << "\n# divergence: "
-          << backend_divergence(spec, minimized.instance, k, backend_pool)
+          << backend_divergence(spec, minimized.instance, k)
           << "\n";
       write_instance(out, minimized.instance);
       std::cerr << "lrb_fuzz: minimized to n=" << minimized.instance.num_jobs()
@@ -836,6 +830,19 @@ int main(int argc, char** argv) {
     return violations == 0 ? 0 : 1;
   }
 
+  // With --jobs N > 1: N iterations at a time on `pool`, all solving
+  // M-PARTITION through one shared N-worker engine.
+  std::unique_ptr<ThreadPool> pool;
+  obs::Registry engine_registry;
+  std::unique_ptr<engine::BatchSolver> shared_engine;
+  if (jobs > 1) {
+    pool = std::make_unique<ThreadPool>(jobs);
+    engine::BatchOptions engine_options;
+    engine_options.workers = jobs;
+    engine_options.metrics = &engine_registry;
+    shared_engine = std::make_unique<engine::BatchSolver>(engine_options);
+  }
+
   struct IterationResult {
     FuzzCase fuzz_case;
     DifferentialReport report;
@@ -854,22 +861,22 @@ int main(int argc, char** argv) {
       out.fuzz_case.options.extra.push_back(
           {"mutant-greedy", mutant_greedy, solver::BackendId::kGreedy});
     }
-    if (pool != nullptr) {
-      // Route M-PARTITION through the engine's chunked parallel scan (on
-      // the shared, already-busy pool) and certify it like the serial one.
-      ThreadPool* p = pool.get();
+    if (shared_engine != nullptr) {
+      // Route M-PARTITION through the shared, already-busy engine and
+      // certify it like the serial one.
+      engine::BatchSolver* e = shared_engine.get();
       out.fuzz_case.options.extra.push_back(
           {"engine-m-partition",
-           [p](const Instance& inst, std::int64_t k) {
-             return m_partition_rebalance_parallel(inst, k, *p, nullptr, 2);
+           [e](const Instance& inst, std::int64_t k) {
+             return engine_m_partition(*e, inst, k);
            },
            solver::BackendId::kMPartition});
     }
     out.report =
         differential_check(out.fuzz_case.instance, out.fuzz_case.options);
-    if (pool != nullptr) {
+    if (shared_engine != nullptr) {
       out.engine_deterministic = engine_matches_serial(
-          out.fuzz_case.instance, out.fuzz_case.options.k, *pool);
+          out.fuzz_case.instance, out.fuzz_case.options.k, *shared_engine);
     }
     return out;
   };
@@ -920,7 +927,8 @@ int main(int argc, char** argv) {
                   << ", m=" << fuzz_case.instance.num_procs
                   << ", k=" << fuzz_case.options.k << ")\n";
         const auto mismatch = [&](const Instance& candidate) {
-          return !engine_matches_serial(candidate, fuzz_case.options.k, *pool);
+          return !engine_matches_serial(candidate, fuzz_case.options.k,
+                                        *shared_engine);
         };
         ShrinkOptions shrink_options;
         shrink_options.max_evaluations = 2'000;
@@ -931,7 +939,7 @@ int main(int argc, char** argv) {
         const auto path = std::filesystem::path(corpus) /
                           ("repro_" + std::to_string(it) + "_determinism.lrb");
         std::ofstream out(path);
-        out << "# lrb_fuzz minimized repro (engine determinism: parallel "
+        out << "# lrb_fuzz minimized repro (engine determinism: BatchSolver "
                "M-PARTITION != serial)\n"
             << "# seed=" << seed << " iteration=" << it << " family="
             << fuzz_case.family << "\n"

@@ -140,8 +140,9 @@ int main(int argc, char** argv) {
   options.unix_path = flags.get_or("unix", "");
   options.tcp_port = static_cast<int>(flags.get_int("tcp", -1));
   options.tcp_bind = flags.get_or("bind", "127.0.0.1");
-  options.engine.workers =
-      static_cast<std::size_t>(flags.get_int("workers", 0));
+  const auto workers = flags.get_count("workers", 0);
+  if (!workers) return fail("--workers must be a whole number >= 0");
+  options.engine.workers = static_cast<std::size_t>(*workers);
   const std::int64_t reactors = flags.get_int("reactors", 1);
   const std::int64_t engine_workers = flags.get_int("engine-workers", 1);
   const std::int64_t max_batch = flags.get_int("max-batch", 64);

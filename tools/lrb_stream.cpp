@@ -187,12 +187,17 @@ int main(int argc, char** argv) {
     std::ostringstream path;
     path << "/tmp/lrb_stream." << getpid() << ".sock";
     options.unix_path = path.str();
-    options.reactors =
-        static_cast<std::size_t>(flags.get_int("reactors", 2));
-    options.engine_workers =
-        static_cast<std::size_t>(flags.get_int("engine-workers", 2));
-    options.engine.workers =
-        static_cast<std::size_t>(flags.get_int("workers", 0));
+    const auto reactors = flags.get_count("reactors", 2);
+    const auto engine_workers = flags.get_count("engine-workers", 2);
+    const auto workers = flags.get_count("workers", 0);
+    if (!reactors) return fail("--reactors must be a whole number >= 0");
+    if (!engine_workers) {
+      return fail("--engine-workers must be a whole number >= 0");
+    }
+    if (!workers) return fail("--workers must be a whole number >= 0");
+    options.reactors = static_cast<std::size_t>(*reactors);
+    options.engine_workers = static_cast<std::size_t>(*engine_workers);
+    options.engine.workers = static_cast<std::size_t>(*workers);
     options.cache_bytes =
         static_cast<std::size_t>(flags.get_int("cache-mb", 0)) << 20;
     cached = options.cache_bytes > 0;

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,12 +32,16 @@ int fail(const std::string& message) {
   return 1;
 }
 
-std::vector<std::int64_t> parse_budgets(const std::string& csv) {
+/// The comma-separated move budgets, or nullopt if one is not a count.
+std::optional<std::vector<std::int64_t>> parse_budgets(const std::string& csv) {
   std::vector<std::int64_t> out;
   std::istringstream iss(csv);
   std::string token;
   while (std::getline(iss, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoll(token));
+    if (token.empty()) continue;
+    const auto k = lrb::parse_count(token);
+    if (!k) return std::nullopt;
+    out.push_back(*k);
   }
   return out;
 }
@@ -61,7 +66,10 @@ int main(int argc, char** argv) {
   if (!instance) return fail("parse error: " + error);
 
   const auto budgets = parse_budgets(flags.get_or("k", "1,2,4,8,16,32"));
-  if (budgets.empty()) return fail("--k list is empty");
+  if (!budgets) return fail("--k wants move budgets >= 0, like 1,2,4");
+  if (budgets->empty()) return fail("--k list is empty");
+  const auto threads = flags.get_count("threads", 0);
+  if (!threads) return fail("--threads must be a whole number >= 0");
 
   struct Cell {
     solver::BackendId backend;
@@ -72,12 +80,12 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (const auto& backend : solver::all_backends()) {
     if (backend.costed) continue;  // no cost budget on this sweep
-    for (std::int64_t k : budgets) {
+    for (std::int64_t k : *budgets) {
       cells.push_back({backend.id, k, {}, 0});
     }
   }
 
-  ThreadPool pool(static_cast<std::size_t>(flags.get_int("threads", 0)));
+  ThreadPool pool(static_cast<std::size_t>(*threads));
   parallel_for(pool, 0, cells.size(), [&](std::size_t i) {
     Timer timer;
     cells[i].result = solver::solve_serial(cells[i].backend, *instance,

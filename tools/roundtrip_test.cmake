@@ -47,6 +47,31 @@ if(NOT gen_err MATCHES "jobs")
   message(FATAL_ERROR "lrb_gen --jobs -5 gave no diagnostic: ${gen_err}")
 endif()
 
+# A bad thread count or move budget must be refused with a diagnostic
+# naming the flag, before any pool or server is built: negative counts used
+# to wrap through size_t and abort in ThreadPool, non-numbers threw out of
+# std::stoll, and a negative --k tripped the solver's k >= 0 assertion.
+function(expect_flag_rejected flag)
+  string(JOIN " " command ${ARGN})
+  execute_process(
+    COMMAND ${ARGN}
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc MATCHES "^[0-9]+$" OR rc EQUAL 0)
+    message(FATAL_ERROR "'${command}' did not fail cleanly: ${rc}")
+  endif()
+  if(NOT err MATCHES "--${flag}")
+    message(FATAL_ERROR "'${command}' gave no --${flag} diagnostic: ${err}")
+  endif()
+endfunction()
+expect_flag_rejected(k ${LRB_SWEEP} ${WORK_DIR}/roundtrip.lrb --k -1)
+expect_flag_rejected(k ${LRB_SWEEP} ${WORK_DIR}/roundtrip.lrb --k x)
+expect_flag_rejected(threads
+  ${LRB_SWEEP} ${WORK_DIR}/roundtrip.lrb --k 2 --threads -1)
+expect_flag_rejected(workers ${LRB_BATCH} --generate 1 --workers -1)
+expect_flag_rejected(workers ${LRB_BATCH} --generate 1 --workers x)
+expect_flag_rejected(workers
+  ${LRB_SERVE} --unix ${WORK_DIR}/flag_check.sock --workers -1)
+
 # Unknown flags are typos, not no-ops.
 execute_process(
   COMMAND ${LRB_GEN} --jbos 10
