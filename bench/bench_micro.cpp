@@ -18,8 +18,10 @@
 #include "diffusion/graph.h"
 #include "diffusion/local_exchange.h"
 #include "knapsack/knapsack.h"
-#include "online/scheduler.h"
-#include "online/trace.h"
+#include "stream/delta_log.h"
+#include "stream/replay.h"
+#include "stream/session.h"
+#include "stream/trace.h"
 
 namespace {
 
@@ -142,21 +144,23 @@ void BM_LocalExchangeRing(benchmark::State& state) {
 BENCHMARK(BM_LocalExchangeRing)->Arg(256)->Arg(1024);
 
 void BM_OnlineArriveDepart(benchmark::State& state) {
-  online::TraceOptions opt;
+  stream::TraceOptions opt;
   opt.num_events = static_cast<std::size_t>(state.range(0));
   opt.departure_fraction = 0.4;
-  const auto trace = online::random_trace(opt, 9);
+  Instance empty;
+  empty.num_procs = 16;
+  // The default trigger never fires: this times arrivals and departures.
+  const stream::DeltaLog log = stream::delta_log_from_trace(
+      empty, stream::random_trace(opt, 9), stream::TriggerConfig{});
+  const stream::SolveFn solve = stream::serial_reference_solver(false);
   for (auto _ : state) {
-    online::OnlineScheduler scheduler(16);
-    std::vector<std::size_t> handles;
-    for (const auto& event : trace) {
-      if (event.kind == online::EventKind::kArrive) {
-        handles.push_back(scheduler.on_arrive(event.size, event.move_cost));
-      } else {
-        scheduler.on_depart(handles[event.arrival_index]);
-      }
+    stream::ClusterSession session =
+        stream::ClusterSession::open(log.initial, log.trigger, nullptr)
+            .value();
+    for (std::size_t i = 0; i < log.deltas.size(); ++i) {
+      benchmark::DoNotOptimize(session.step(log.deltas[i], i + 1, solve));
     }
-    benchmark::DoNotOptimize(scheduler.makespan());
+    benchmark::DoNotOptimize(session.makespan());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -1,16 +1,19 @@
 // Experiment E16: the dynamic setting from the paper's abstract - an online
 // schedule erodes as jobs depart; periodic bounded rebalancing restores it.
-// Measures the tracking ratio makespan / offline-bound along arrival +
-// departure traces for a grid of (rebalance interval, move budget k),
-// including the two degenerate corners: never rebalance (pure Graham) and
-// arrivals-only (where Graham's 2 - 1/m guarantee applies unconditionally).
+// Measures the tracking ratio makespan / lower bound along arrival +
+// departure traces streamed into a stream::ClusterSession (the live-cluster
+// model lrb_serve runs for sessions) for a grid of (rebalance interval,
+// move budget k), including the two degenerate corners: never rebalance
+// (pure Graham) and arrivals-only (where Graham's 2 - 1/m guarantee applies
+// unconditionally).
 
 #include <iostream>
 
 #include "bench_common.h"
-#include "online/scheduler.h"
-#include "online/trace.h"
-#include "solver/registry.h"
+#include "stream/delta_log.h"
+#include "stream/replay.h"
+#include "stream/session.h"
+#include "stream/trace.h"
 #include "util/rng.h"
 
 namespace {
@@ -21,39 +24,38 @@ struct RunMetrics {
   std::int64_t total_moves = 0;
 };
 
-RunMetrics run_trace(const std::vector<lrb::online::Event>& trace,
+/// Streams the trace into a ClusterSession over m empty processors:
+/// arrivals are auto-placed on the least-loaded processor, and every
+/// `interval` deltas (0 = never) the session replans with move budget k.
+RunMetrics run_trace(const std::vector<lrb::stream::Event>& trace,
                      lrb::ProcId m, std::size_t interval, std::int64_t k,
                      bool frugal) {
   using namespace lrb;
-  using namespace lrb::online;
-  OnlineScheduler scheduler(m);
-  std::vector<std::size_t> handles;
+  using namespace lrb::stream;
+  TriggerConfig trigger;
+  // M-PARTITION stops at its 1.5 guarantee (frugal); best-of also runs
+  // GREEDY, which spends the budget chasing the minimum.
+  trigger.spec = frugal ? solver::BackendId::kMPartition
+                        : solver::BackendId::kBestOf;
+  trigger.move_budget = static_cast<std::uint32_t>(k);
+  trigger.delta_count = static_cast<std::uint32_t>(interval);
+  Instance empty;
+  empty.num_procs = m;
+  const DeltaLog log = delta_log_from_trace(empty, trace, trigger);
+  ClusterSession session =
+      ClusterSession::open(log.initial, log.trigger, nullptr).value();
+  const SolveFn solve = serial_reference_solver(false);
   RunMetrics metrics;
   double sum = 0;
   std::size_t samples = 0;
-  std::size_t events = 0;
-  for (const auto& event : trace) {
-    if (event.kind == EventKind::kArrive) {
-      handles.push_back(scheduler.on_arrive(event.size, event.move_cost));
-    } else {
-      scheduler.on_depart(handles[event.arrival_index]);
+  for (std::size_t i = 0; i < log.deltas.size(); ++i) {
+    for (const SessionPlan& plan :
+         session.step(log.deltas[i], i + 1, solve).plans) {
+      metrics.total_moves += static_cast<std::int64_t>(plan.moves.size());
     }
-    ++events;
-    if (interval > 0 && events % interval == 0 && scheduler.num_alive() > 0) {
-      const auto result = scheduler.rebalance(
-          [frugal](const Instance& inst, std::int64_t budget) {
-            // M-PARTITION stops at its 1.5 guarantee (frugal); best-of also
-            // runs GREEDY, which spends the budget chasing the minimum.
-            return solver::solve_serial(frugal ? solver::BackendId::kMPartition
-                                               : solver::BackendId::kBestOf,
-                                        inst, budget);
-          },
-          k);
-      metrics.total_moves += result.moves;
-    }
-    if (scheduler.num_alive() > 0) {
-      const double ratio = static_cast<double>(scheduler.makespan()) /
-                           static_cast<double>(scheduler.offline_bound());
+    if (session.num_jobs() > 0) {
+      const double ratio = static_cast<double>(session.makespan()) /
+                           static_cast<double>(session.lower_bound());
       sum += ratio;
       metrics.max_ratio = std::max(metrics.max_ratio, ratio);
       ++samples;
@@ -68,7 +70,7 @@ RunMetrics run_trace(const std::vector<lrb::online::Event>& trace,
 int main(int argc, char** argv) {
   using namespace lrb;
   using namespace lrb::bench;
-  using namespace lrb::online;
+  using namespace lrb::stream;
   if (!parse_bench_flags(argc, argv)) return 2;
 
   std::cout << "E16: online arrivals/departures with periodic bounded "

@@ -1,23 +1,25 @@
 // The dynamic setting end to end: an elastic cluster where jobs arrive and
-// depart online. Arrivals are placed greedily (Graham); every 40 events the
-// operator spends a small move budget on rebalancing. The drain-down phase
-// at the end - departures with no arrivals to backfill - is where the
-// bounded rebalancing earns its keep.
+// depart online, streamed as deltas into a stream::ClusterSession.
+// Arrivals are placed greedily (Graham); every 40 events the session spends
+// a small move budget on rebalancing. The drain-down phase at the end -
+// departures with no arrivals to backfill - is where the bounded
+// rebalancing earns its keep.
 //
 //   $ ./examples/elastic_cluster
 
 #include <algorithm>
 #include <iostream>
 
-#include "online/scheduler.h"
-#include "online/trace.h"
-#include "solver/registry.h"
+#include "stream/delta_log.h"
+#include "stream/replay.h"
+#include "stream/session.h"
+#include "stream/trace.h"
 #include "util/rng.h"
 #include "util/table.h"
 
 int main() {
   using namespace lrb;
-  using namespace lrb::online;
+  using namespace lrb::stream;
 
   const ProcId servers = 8;
   const std::int64_t k = 6;
@@ -55,40 +57,36 @@ int main() {
     }
   }
 
-  OnlineScheduler scheduler(servers);
-  std::vector<std::size_t> handles;
-  std::size_t events = 0;
+  TriggerConfig trigger;
+  trigger.spec = solver::BackendId::kBestOf;
+  trigger.move_budget = static_cast<std::uint32_t>(k);
+  trigger.delta_count = 40;
+  Instance empty;
+  empty.num_procs = servers;
+  const DeltaLog log = delta_log_from_trace(empty, trace, trigger);
+  ClusterSession session =
+      ClusterSession::open(log.initial, log.trigger, nullptr).value();
+  const SolveFn solve = serial_reference_solver(false);
   std::int64_t total_moves = 0;
 
   std::cout << "Elastic cluster: " << servers << " servers, " << trace.size()
             << " events, rebalance every 40 events with k = " << k << "\n\n";
   Table table({"event", "alive", "makespan", "offline bound", "ratio",
                "moves so far"});
-  for (const auto& event : trace) {
-    if (event.kind == EventKind::kArrive) {
-      handles.push_back(scheduler.on_arrive(event.size, event.move_cost));
-    } else {
-      scheduler.on_depart(handles[event.arrival_index]);
+  for (std::size_t i = 0; i < log.deltas.size(); ++i) {
+    for (const SessionPlan& plan :
+         session.step(log.deltas[i], i + 1, solve).plans) {
+      total_moves += static_cast<std::int64_t>(plan.moves.size());
     }
-    ++events;
-    if (events % 40 == 0 && scheduler.num_alive() > 0) {
-      total_moves += scheduler
-                         .rebalance(
-                             [](const Instance& inst, std::int64_t budget) {
-                               return solver::solve_serial(
-                                   solver::BackendId::kBestOf, inst, budget);
-                             },
-                             k)
-                         .moves;
-    }
-    if (events % 60 == 0 && scheduler.num_alive() > 0) {
+    const std::size_t events = i + 1;
+    if (events % 60 == 0 && session.num_jobs() > 0) {
       table.row()
           .add(static_cast<std::uint64_t>(events))
-          .add(static_cast<std::uint64_t>(scheduler.num_alive()))
-          .add(scheduler.makespan())
-          .add(scheduler.offline_bound())
-          .add(static_cast<double>(scheduler.makespan()) /
-                   static_cast<double>(scheduler.offline_bound()),
+          .add(static_cast<std::uint64_t>(session.num_jobs()))
+          .add(session.makespan())
+          .add(session.lower_bound())
+          .add(static_cast<double>(session.makespan()) /
+                   static_cast<double>(session.lower_bound()),
                3)
           .add(total_moves);
     }

@@ -266,7 +266,7 @@ std::optional<DeltaLog> delta_log_from_string(const std::string& text,
 }
 
 DeltaLog delta_log_from_trace(const Instance& initial,
-                              const std::vector<online::Event>& events,
+                              const std::vector<Event>& events,
                               const TriggerConfig& trigger) {
   DeltaLog log;
   log.initial = initial;
@@ -274,9 +274,9 @@ DeltaLog delta_log_from_trace(const Instance& initial,
   log.deltas.reserve(events.size());
   const std::uint64_t base = initial.num_jobs();
   std::uint64_t arrivals = 0;
-  for (const online::Event& event : events) {
+  for (const Event& event : events) {
     Delta delta;
-    if (event.kind == online::EventKind::kArrive) {
+    if (event.kind == EventKind::kArrive) {
       delta.kind = DeltaKind::kJobArrive;
       delta.id = base + arrivals++;
       delta.size = event.size;

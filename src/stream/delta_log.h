@@ -1,6 +1,6 @@
 // Plain-text serialization of streaming-session inputs, so session repros
 // can be checked in, diffed, and replayed (tests/corpus/*.lrbd), plus the
-// converter from src/online/trace event streams into delta logs.
+// converter from stream/trace event streams into delta logs.
 //
 // Format (whitespace-separated, '#' comments allowed):
 //
@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "core/instance.h"
-#include "online/trace.h"
 #include "stream/session.h"
+#include "stream/trace.h"
 
 namespace lrb::stream {
 
@@ -63,7 +63,7 @@ void write_delta_log(std::ostream& os, const DeltaLog& log);
 /// `initial.num_jobs() + arrival_index`; departures become kJobDepart of
 /// the same ids. The trigger config rides along unchanged.
 [[nodiscard]] DeltaLog delta_log_from_trace(
-    const Instance& initial, const std::vector<online::Event>& events,
+    const Instance& initial, const std::vector<Event>& events,
     const TriggerConfig& trigger);
 
 }  // namespace lrb::stream

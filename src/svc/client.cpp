@@ -103,55 +103,45 @@ void Client::close() {
   recv_buf_.clear();
 }
 
-std::optional<Client> Client::connect_unix(const std::string& path,
-                                           std::string* error,
-                                           fault::SocketIo* io,
-                                           std::uint32_t connect_timeout_ms) {
-  sockaddr_un addr{};
-  if (path.size() >= sizeof addr.sun_path) {
-    set_error(error, "unix path too long");
-    return std::nullopt;
+std::optional<Client> Client::connect(const Endpoint& endpoint,
+                                      std::string* error, fault::SocketIo* io,
+                                      std::uint32_t connect_timeout_ms) {
+  sockaddr_un un{};
+  sockaddr_in in{};
+  const sockaddr* addr = nullptr;
+  socklen_t addr_len = 0;
+  std::string what;
+  if (!endpoint.unix_path.empty()) {
+    if (endpoint.unix_path.size() >= sizeof un.sun_path) {
+      set_error(error, "unix path too long");
+      return std::nullopt;
+    }
+    un.sun_family = AF_UNIX;
+    std::strncpy(un.sun_path, endpoint.unix_path.c_str(),
+                 sizeof un.sun_path - 1);
+    addr = reinterpret_cast<const sockaddr*>(&un);
+    addr_len = sizeof un;
+    what = "connect(" + endpoint.unix_path + ")";
+  } else {
+    in.sin_family = AF_INET;
+    in.sin_port = htons(static_cast<std::uint16_t>(endpoint.tcp_port));
+    if (inet_pton(AF_INET, endpoint.tcp_host.c_str(), &in.sin_addr) != 1) {
+      set_error(error, "bad address " + endpoint.tcp_host);
+      return std::nullopt;
+    }
+    addr = reinterpret_cast<const sockaddr*>(&in);
+    addr_len = sizeof in;
+    what = "connect(" + endpoint.tcp_host + ":" +
+           std::to_string(endpoint.tcp_port) + ")";
   }
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = socket(endpoint.unix_path.empty() ? AF_INET : AF_UNIX,
+                        SOCK_STREAM, 0);
   if (fd < 0) {
-    set_errno_error(error, "socket(AF_UNIX)");
+    set_errno_error(error, "socket");
     return std::nullopt;
   }
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (!connect_with_timeout(fd, reinterpret_cast<const sockaddr*>(&addr),
-                            sizeof addr, connect_timeout_ms, error,
-                            "connect(" + path + ")")) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  Client client;
-  client.fd_ = fd;
-  client.io_ = io;
-  return client;
-}
-
-std::optional<Client> Client::connect_tcp(const std::string& host, int port,
-                                          std::string* error,
-                                          fault::SocketIo* io,
-                                          std::uint32_t connect_timeout_ms) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    set_errno_error(error, "socket(AF_INET)");
-    return std::nullopt;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    set_error(error, "bad address " + host);
-    ::close(fd);
-    return std::nullopt;
-  }
-  if (!connect_with_timeout(
-          fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr,
-          connect_timeout_ms, error,
-          "connect(" + host + ":" + std::to_string(port) + ")")) {
+  if (!connect_with_timeout(fd, addr, addr_len, connect_timeout_ms, error,
+                            what)) {
     ::close(fd);
     return std::nullopt;
   }
@@ -266,19 +256,23 @@ std::optional<Client::SolveOutcome> Client::solve(const SolveRequest& request,
             &header, &payload, error)) {
     return std::nullopt;
   }
+  return decode_solve_outcome(header.type, std::move(payload), error);
+}
+
+std::optional<Client::SolveOutcome> Client::decode_solve_outcome(
+    MsgType type, std::string payload, std::string* error) {
   SolveOutcome outcome;
-  if (header.type == MsgType::kSolveOk) {
+  if (type == MsgType::kSolveOk) {
     std::string decode_error;
-    auto result = decode_solve_reply_payload(payload, &decode_error);
-    if (!result) {
+    outcome.result = decode_solve_reply_payload(payload, &decode_error);
+    if (!outcome.result) {
       set_error(error, "bad solve reply: " + decode_error);
       return std::nullopt;
     }
-    outcome.result = std::move(*result);
     outcome.raw_payload = std::move(payload);
     return outcome;
   }
-  if (header.type == MsgType::kError) {
+  if (type == MsgType::kError) {
     outcome.server_error = decode_error_payload(payload);
     if (!outcome.server_error) {
       set_error(error, "malformed error reply");

@@ -1,25 +1,48 @@
-// A small blocking client for the lrb_serve wire protocol, used by the
-// lrb_load generator and the loopback tests. One Client = one connection;
-// not thread-safe (use one per thread).
+// A small blocking client for the lrb_serve wire protocol: the one
+// connection every client layer uses (lrb_load, the loopback tests, and
+// ResilientClient in svc/retry_client.h, which adds retries on top). One
+// Client = one connection; not thread-safe (use one per thread).
 //
 // All socket IO goes through a fault::SocketIo (the real syscalls by
 // default), so the chaos harness can perturb the client side of the
 // stream too. recv_frame_until adds a poll-based deadline, which is what
-// ResilientClient (svc/retry_client.h) builds its solve timeout on.
+// ResilientClient builds its reply timeout on.
 
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/assignment.h"
 #include "svc/fault/io_shim.h"
 #include "svc/wire.h"
 
 namespace lrb::svc {
+
+/// Where to connect: a Unix-domain socket when unix_path is set, else TCP
+/// to tcp_host:tcp_port.
+struct Endpoint {
+  std::string unix_path;
+  std::string tcp_host = "127.0.0.1";
+  int tcp_port = -1;
+
+  [[nodiscard]] static Endpoint unix_socket(std::string path) {
+    Endpoint endpoint;
+    endpoint.unix_path = std::move(path);
+    return endpoint;
+  }
+  [[nodiscard]] static Endpoint tcp(std::string host, int port) {
+    Endpoint endpoint;
+    endpoint.tcp_host = std::move(host);
+    endpoint.tcp_port = port;
+    return endpoint;
+  }
+};
 
 class Client {
  public:
@@ -33,12 +56,8 @@ class Client {
   /// `connect_timeout_ms` 0 = blocking connect; otherwise the connect is
   /// non-blocking and fails with "connect timeout" once the budget is
   /// spent. `io` is the socket-IO seam (real syscalls by default).
-  [[nodiscard]] static std::optional<Client> connect_unix(
-      const std::string& path, std::string* error,
-      fault::SocketIo* io = &fault::SocketIo::real(),
-      std::uint32_t connect_timeout_ms = 0);
-  [[nodiscard]] static std::optional<Client> connect_tcp(
-      const std::string& host, int port, std::string* error,
+  [[nodiscard]] static std::optional<Client> connect(
+      const Endpoint& endpoint, std::string* error,
       fault::SocketIo* io = &fault::SocketIo::real(),
       std::uint32_t connect_timeout_ms = 0);
 
@@ -68,15 +87,21 @@ class Client {
                           std::string_view payload, FrameHeader* reply_header,
                           std::string* reply_payload, std::string* error);
 
-  /// Outcome of one Solve round-trip: either a result or a server error.
+  /// Outcome of one Solve: either a result or a server error.
   struct SolveOutcome {
     std::optional<RebalanceResult> result;  ///< set iff SolveOk
     std::string raw_payload;  ///< SolveOk payload bytes (for --check)
     std::optional<ErrorReply> server_error;
+    std::size_t attempts = 1;  ///< round-trips (ResilientClient retries)
   };
   [[nodiscard]] std::optional<SolveOutcome> solve(
       const SolveRequest& request, std::uint64_t request_id,
       std::string* error);
+
+  /// Decodes the reply to a Solve: a SolveOk or an Error. nullopt (and
+  /// *error) for any other type or a payload that does not decode.
+  [[nodiscard]] static std::optional<SolveOutcome> decode_solve_outcome(
+      MsgType type, std::string payload, std::string* error);
 
   void close();
 

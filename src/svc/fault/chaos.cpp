@@ -11,8 +11,8 @@
 
 #include "core/generators.h"
 #include "engine/batch_solver.h"
-#include "online/trace.h"
 #include "stream/delta_log.h"
+#include "stream/trace.h"
 #include "svc/server.h"
 #include "svc/session_client.h"
 #include "svc/wire.h"
@@ -176,18 +176,18 @@ stream::DeltaLog make_session_log(const CampaignOptions& options,
   trigger.move_frac = 0.25;
   trigger.imbalance_ratio = 1.5;
   trigger.delta_count = 16;
-  online::TraceOptions trace_options;
+  stream::TraceOptions trace_options;
   trace_options.num_events = options.deltas_per_session;
   trace_options.departure_fraction = 0.4;
-  const auto events = online::random_trace(
+  const auto events = stream::random_trace(
       trace_options, campaign_seed(options.seed, 0x200 + session));
   return stream::delta_log_from_trace(
       mixed_corpus_instance(session, options.seed), events, trigger);
 }
 
-/// Streaming-session campaign: N concurrent sessions, each a SessionClient
-/// thread behind its own fault injector, every ack byte-compared against
-/// the serial replay mirror (run_session_stream). The stats byte-compare at
+/// Streaming-session campaign: N concurrent sessions, each a
+/// run_session_stream thread behind its own fault injector, every ack
+/// byte-compared against the serial replay mirror. The stats byte-compare at
 /// the end of each session is the per-session delta ledger; on top of that
 /// the server-side stream.deltas_* totals must equal the sum of the
 /// mirrors' — if an injected reset ever made the server re-apply a resent

@@ -71,7 +71,7 @@ struct CampaignOptions {
   RetryPolicy retry;
 
   /// Streaming-session mode (docs/streaming.md): when > 0 the campaign
-  /// runs this many concurrent SESSIONS (one SessionClient thread each)
+  /// runs this many concurrent SESSIONS (one run_session_stream thread each)
   /// instead of one-shot Solves. Each session streams a seeded delta log
   /// under fault injection; `check` byte-compares every ack against the
   /// serial replay mirror, and the final server-side session stats must

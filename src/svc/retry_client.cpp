@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 namespace lrb::svc {
 
@@ -33,15 +34,9 @@ void ResilientClient::disconnect() { client_.close(); }
 
 bool ResilientClient::ensure_connected(std::string* error) {
   if (client_.connected()) return true;
-  std::string connect_error;
   auto client =
-      endpoint_.unix_path.empty()
-          ? Client::connect_tcp(endpoint_.tcp_host, endpoint_.tcp_port,
-                                &connect_error, io_,
-                                policy_.connect_timeout_ms)
-          : Client::connect_unix(endpoint_.unix_path, &connect_error, io_,
-                                 policy_.connect_timeout_ms);
-  if (!client) return fail(error, connect_error);
+      Client::connect(endpoint_, error, io_, policy_.connect_timeout_ms);
+  if (!client) return false;
   client_ = std::move(*client);
   m_connects_.add(1);
   if (ever_connected_) m_reconnects_.add(1);
@@ -62,10 +57,15 @@ void ResilientClient::backoff(std::size_t attempt) {
   }
 }
 
-std::optional<ResilientClient::Outcome> ResilientClient::solve(
-    const SolveRequest& request, std::uint64_t request_id,
+std::optional<ResilientClient::Reply> ResilientClient::call(
+    MsgType type, std::uint64_t request_id, std::string_view payload,
     std::string* error) {
-  const std::string frame_payload = encode_solve_request(request);
+  const auto reply_deadline = [this] {
+    return policy_.solve_timeout_ms > 0
+               ? std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(policy_.solve_timeout_ms)
+               : std::chrono::steady_clock::time_point::max();
+  };
   std::string last_error = "no attempts made";
   for (std::size_t attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
     if (attempt > 1) {
@@ -73,81 +73,59 @@ std::optional<ResilientClient::Outcome> ResilientClient::solve(
       backoff(attempt - 1);
     }
     if (!ensure_connected(&last_error)) continue;
-    if (!client_.send_frame(MsgType::kSolve, request_id, frame_payload,
-                            &last_error)) {
-      client_.close();
-      continue;
-    }
-    const auto deadline =
-        policy_.solve_timeout_ms > 0
-            ? std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(policy_.solve_timeout_ms)
-            : std::chrono::steady_clock::time_point::max();
+    Reply reply;
+    reply.attempts = attempt;
     FrameHeader header;
-    std::string payload;
     bool timed_out = false;
-    if (!client_.recv_frame_until(&header, &payload, deadline, &last_error,
-                                  &timed_out)) {
+    if (!client_.send_frame(type, request_id, payload, &last_error) ||
+        !client_.recv_frame_until(&header, &reply.payload, reply_deadline(),
+                                  &last_error, &timed_out)) {
       if (timed_out) m_timeouts_.add(1);
-      // Whatever broke (timeout, EOF, torn frame), this connection may
-      // still carry a stale reply: never reuse it.
+      // Whatever broke (send, timeout, EOF, torn frame), this connection
+      // may still carry a stale reply: never reuse it.
       client_.close();
       continue;
     }
+    reply.type = header.type;
     if (header.request_id != request_id) {
       last_error = "reply request id mismatch";
       client_.close();
       continue;
     }
-    Outcome outcome;
-    outcome.attempts = attempt;
-    if (header.type == MsgType::kSolveOk) {
-      std::string decode_error;
-      auto result = decode_solve_reply_payload(payload, &decode_error);
-      if (!result) {
-        last_error = "bad solve reply: " + decode_error;
+    if (header.type != MsgType::kError) {
+      if (auto problem = check_answer(type, header.type, reply.payload)) {
+        last_error = std::move(*problem);
         client_.close();
         continue;
       }
-      outcome.result = std::move(*result);
-      outcome.raw_payload = std::move(payload);
-      return outcome;
+      return reply;
     }
-    if (header.type == MsgType::kError) {
-      auto server_error = decode_error_payload(payload);
-      if (!server_error) {
-        last_error = "malformed error reply";
+    reply.server_error = decode_error_payload(reply.payload);
+    if (!reply.server_error) {
+      last_error = "malformed error reply";
+      client_.close();
+      continue;
+    }
+    switch (reply.server_error->code) {
+      case ErrorCode::kOverloaded:
+        last_error = "server overloaded";
+        continue;  // connection stays healthy; just back off
+      case ErrorCode::kDraining:
+      case ErrorCode::kBadRequest:
+      case ErrorCode::kInternal:
+        // Draining: this server instance is going away, and a later
+        // attempt must reach its replacement. BadRequest / Internal: the
+        // wire has no checksum, so this may be line corruption of a
+        // perfectly good frame. A genuinely malformed request recurs
+        // every attempt and surfaces as the give-up error.
+        last_error = std::string("server error: ") +
+                     error_code_name(reply.server_error->code) + ": " +
+                     reply.server_error->text;
         client_.close();
         continue;
-      }
-      switch (server_error->code) {
-        case ErrorCode::kOverloaded:
-          last_error = "server overloaded";
-          continue;  // connection stays healthy; just back off
-        case ErrorCode::kDraining:
-          // This server instance is going away; a later attempt must
-          // reach its replacement.
-          last_error = "server draining";
-          client_.close();
-          continue;
-        case ErrorCode::kBadRequest:
-        case ErrorCode::kInternal:
-          // The wire has no checksum, so a BadRequest may be line
-          // corruption of a perfectly good frame — retry on a fresh
-          // connection. A genuinely malformed request recurs every
-          // attempt and surfaces as the give-up error.
-          last_error = std::string("server error: ") +
-                       error_code_name(server_error->code) + ": " +
-                       server_error->text;
-          client_.close();
-          continue;
-        default:
-          outcome.server_error = std::move(*server_error);
-          return outcome;  // definitive (DeadlineExceeded, unknown codes)
-      }
+      default:
+        return reply;  // final: DeadlineExceeded, session errors, unknown
     }
-    last_error = "unexpected reply type";
-    client_.close();
   }
   m_gave_up_.add(1);
   fail(error, "gave up after " + std::to_string(policy_.max_attempts) +
@@ -155,41 +133,25 @@ std::optional<ResilientClient::Outcome> ResilientClient::solve(
   return std::nullopt;
 }
 
+std::optional<Client::SolveOutcome> ResilientClient::solve(
+    const SolveRequest& request, std::uint64_t request_id,
+    std::string* error) {
+  auto reply =
+      call(MsgType::kSolve, request_id, encode_solve_request(request), error);
+  if (!reply) return std::nullopt;
+  auto outcome = Client::decode_solve_outcome(reply->type,
+                                              std::move(reply->payload), error);
+  if (outcome) outcome->attempts = reply->attempts;
+  return outcome;
+}
+
 bool ResilientClient::ping(std::uint64_t request_id, std::string* error) {
-  std::string last_error = "no attempts made";
-  for (std::size_t attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      m_retries_.add(1);
-      backoff(attempt - 1);
-    }
-    if (!ensure_connected(&last_error)) continue;
-    if (!client_.send_frame(MsgType::kPing, request_id, "", &last_error)) {
-      client_.close();
-      continue;
-    }
-    const auto deadline =
-        policy_.solve_timeout_ms > 0
-            ? std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(policy_.solve_timeout_ms)
-            : std::chrono::steady_clock::time_point::max();
-    FrameHeader header;
-    std::string payload;
-    bool timed_out = false;
-    if (!client_.recv_frame_until(&header, &payload, deadline, &last_error,
-                                  &timed_out)) {
-      if (timed_out) m_timeouts_.add(1);
-      client_.close();
-      continue;
-    }
-    if (header.type == MsgType::kPong && header.request_id == request_id) {
-      return true;
-    }
-    last_error = "unexpected ping reply";
-    client_.close();
-  }
-  m_gave_up_.add(1);
-  return fail(error, "gave up after " + std::to_string(policy_.max_attempts) +
-                         " attempts: " + last_error);
+  const auto reply = call(MsgType::kPing, request_id, "", error);
+  if (!reply) return false;
+  if (!reply->server_error) return true;
+  return fail(error, std::string("server error: ") +
+                         error_code_name(reply->server_error->code) + ": " +
+                         reply->server_error->text);
 }
 
 }  // namespace lrb::svc

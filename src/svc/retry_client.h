@@ -1,20 +1,28 @@
-// ResilientClient: a retrying wrapper around svc::Client for the
-// idempotent requests (Solve, Ping).
+// ResilientClient: the one retry loop over svc::Client. call() sends one
+// request frame and retries it until an answer comes back; Solve, Ping and
+// the session stream (svc/session_client.h) are thin layers over it.
 //
-// Failure handling:
+// Every attempt resends the identical frame under the same request id, so
+// a retried session frame is answered from the server's exactly-once dedup
+// (docs/streaming.md) and a retried Solve or Ping is simply idempotent.
+// The decision table, the same for every request type:
 //   * transport errors (send/recv failure, EOF, torn or corrupt reply
 //     frame, receive timeout) tear the connection down and retry on a
 //     fresh one — the dead connection is never reused, so a stale reply
 //     can never be matched to a later request;
-//   * Overloaded / Draining server errors back off and retry (Draining
-//     implies reconnecting, since that server instance will not accept
-//     new work again);
+//   * so does any reply that cannot be the answer: a wrong request id, a
+//     malformed error payload, a type that does not answer the request,
+//     or a payload that does not decode as its type (wire's check_answer);
+//   * Overloaded backs off and retries on the same connection;
+//   * Draining retries on a fresh connection, since that server instance
+//     will not accept new work again;
 //   * BadRequest / Internal also retry on a fresh connection: the wire
 //     has no checksum, so a BadRequest may be line corruption of a good
 //     frame. A genuinely malformed request fails every attempt and comes
 //     back as the give-up error;
-//   * DeadlineExceeded is a definitive outcome — the request's own
-//     deadline passed — and is returned without retrying.
+//   * every other server error (DeadlineExceeded, the session errors,
+//     codes this client does not know) is a final answer, returned
+//     without retrying.
 //
 // Backoff is bounded exponential with seeded jitter (deterministic for a
 // given RetryPolicy::jitter_seed), so chaos campaigns replay identically.
@@ -28,6 +36,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "svc/client.h"
@@ -35,25 +44,6 @@
 #include "util/rng.h"
 
 namespace lrb::svc {
-
-/// Where to (re)connect: exactly one of unix_path / tcp_port >= 0.
-struct Endpoint {
-  std::string unix_path;
-  std::string tcp_host = "127.0.0.1";
-  int tcp_port = -1;
-
-  [[nodiscard]] static Endpoint unix_socket(std::string path) {
-    Endpoint endpoint;
-    endpoint.unix_path = std::move(path);
-    return endpoint;
-  }
-  [[nodiscard]] static Endpoint tcp(std::string host, int port) {
-    Endpoint endpoint;
-    endpoint.tcp_host = std::move(host);
-    endpoint.tcp_port = port;
-    return endpoint;
-  }
-};
 
 struct RetryPolicy {
   /// Attempts per request (first try included). 0 is treated as 1.
@@ -74,21 +64,31 @@ class ResilientClient {
                   obs::Registry* metrics = &obs::Registry::global(),
                   fault::SocketIo* io = &fault::SocketIo::real());
 
-  struct Outcome {
-    std::optional<RebalanceResult> result;  ///< set iff SolveOk
-    std::string raw_payload;                ///< SolveOk payload bytes
-    std::optional<ErrorReply> server_error; ///< definitive server error
-    std::size_t attempts = 1;               ///< round-trips consumed
+  /// The answer to one call.
+  struct Reply {
+    MsgType type = MsgType::kError;
+    std::string payload;  ///< reply payload bytes
+    std::optional<ErrorReply> server_error;  ///< set iff type == kError
+    std::size_t attempts = 1;                ///< round-trips consumed
   };
 
-  /// Solves with retries. nullopt (and *error) only when every attempt
-  /// failed; otherwise an Outcome carrying the result or the definitive
-  /// server error.
-  [[nodiscard]] std::optional<Outcome> solve(const SolveRequest& request,
-                                             std::uint64_t request_id,
-                                             std::string* error);
+  /// Sends `payload` as a `type` frame under `request_id` and retries per
+  /// the table above. The reply is an answer to `type` whose payload
+  /// decodes, or a final server error. nullopt (and *error: "gave up after
+  /// N attempts: <last error>") only when every attempt failed.
+  [[nodiscard]] std::optional<Reply> call(MsgType type,
+                                          std::uint64_t request_id,
+                                          std::string_view payload,
+                                          std::string* error);
 
-  /// Ping with retries; true once a Pong with the right id comes back.
+  /// Solve over call(): the result or the final server error, or nullopt
+  /// (and *error) once every attempt failed.
+  [[nodiscard]] std::optional<Client::SolveOutcome> solve(
+      const SolveRequest& request, std::uint64_t request_id,
+      std::string* error);
+
+  /// Ping over call(): true once the Pong comes back; false (and *error)
+  /// on give-up or a final server error.
   [[nodiscard]] bool ping(std::uint64_t request_id, std::string* error);
 
   /// Drops the current connection (the next request reconnects).

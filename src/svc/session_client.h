@@ -1,96 +1,28 @@
-// SessionClient: a retrying client for the wire-v2 streaming-session
-// protocol, plus run_session_stream — the shared checked driver that
-// lrb_stream, lrb_load --trace, the stream service tests and the chaos
-// campaigns all use to stream a delta log at a server and (optionally)
+// run_session_stream: the one routine that lrb_stream, lrb_load --trace,
+// the stream service tests and the chaos campaigns all use to stream a
+// delta log at a server over the wire-v2 session protocol and (optionally)
 // byte-compare every ack against stream::replay_serial_reference.
 //
-// Retry semantics lean on the server's exactly-once dedup (see
-// docs/streaming.md): a transport failure (send/recv error, EOF, timeout,
-// torn frame) reconnects, backs off, and resends the IDENTICAL frame —
-// the server answers a duplicate of the last applied frame with the
+// Each logical frame (open, every delta frame, stats, close) is one
+// ResilientClient::call (svc/retry_client.h) under its own request id, and
+// every retry of that frame resends it byte for byte under the same id.
+// That reuse is what the server's exactly-once dedup (docs/streaming.md)
+// keys on: it answers a duplicate of the last applied frame with the
 // stored reply bytes instead of re-applying it, so retries can never
-// double-apply a delta. Overloaded/Draining back off and retry like the
-// one-shot ResilientClient; every other server error is a definitive
-// outcome for that call.
-//
-// Thread-safety: like Client, one SessionClient per thread.
+// double-apply a delta.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "obs/metrics.h"
-#include "svc/client.h"
+#include "stream/delta_log.h"
 #include "svc/fault/io_shim.h"
 #include "svc/retry_client.h"
-#include "svc/wire.h"
-#include "stream/delta_log.h"
-#include "stream/replay.h"
-#include "stream/session.h"
-#include "util/rng.h"
 
 namespace lrb::svc {
-
-class SessionClient {
- public:
-  SessionClient(Endpoint endpoint, RetryPolicy policy = {},
-                obs::Registry* metrics = &obs::Registry::global(),
-                fault::SocketIo* io = &fault::SocketIo::real());
-
-  /// Outcome of one session round-trip that got a reply (of any kind).
-  struct Ack {
-    MsgType type = MsgType::kError;
-    std::string raw_payload;  ///< reply payload bytes (what --check compares)
-    std::optional<ErrorReply> server_error;  ///< set iff type == kError
-    std::size_t attempts = 1;
-  };
-
-  /// Opens the session; remembers the id for the later calls. The ack is
-  /// kSessionOpenOk or a definitive server error.
-  [[nodiscard]] std::optional<Ack> open(const SessionOpenRequest& request,
-                                        std::string* error);
-
-  /// Streams one SessionDelta frame (first_seq/session_id must be filled
-  /// by the caller). Ack is kSessionDeltaOk, kSessionPlan, or an error.
-  [[nodiscard]] std::optional<Ack> send_deltas(
-      const SessionDeltaRequest& request, std::string* error);
-
-  [[nodiscard]] std::optional<Ack> stats(std::string* error);
-  [[nodiscard]] std::optional<Ack> close_session(std::string* error);
-
-  [[nodiscard]] std::uint64_t session_id() const noexcept {
-    return session_id_;
-  }
-  void disconnect() { client_.close(); }
-
- private:
-  [[nodiscard]] std::optional<Ack> call_with_retry(MsgType type,
-                                                   const std::string& payload,
-                                                   std::string* error);
-  [[nodiscard]] bool ensure_connected(std::string* error);
-  void backoff(std::size_t attempt);
-
-  Endpoint endpoint_;
-  RetryPolicy policy_;
-  fault::SocketIo* io_;
-  Client client_;
-  bool ever_connected_ = false;
-  std::uint64_t session_id_ = 0;
-  std::uint64_t next_request_id_ = 1;
-  Rng jitter_;
-
-  obs::Counter& m_connects_;
-  obs::Counter& m_reconnects_;
-  obs::Counter& m_retries_;
-  obs::Counter& m_timeouts_;
-  obs::Counter& m_gave_up_;
-};
-
-// ---------------------------------------------------------------------------
-// The shared checked stream driver.
 
 struct StreamRunOptions {
   Endpoint endpoint;

@@ -283,4 +283,17 @@ struct SessionCloseReply {
 [[nodiscard]] std::optional<SessionCloseReply> decode_session_close_reply(
     std::string_view payload, std::string* error);
 
+// ---------------------------------------------------------------------------
+// Which reply answers which request.
+
+/// Checks a reply other than kError (which answers every request): that
+/// `reply` is a type the server sends in answer to `request` and that
+/// `payload` decodes as that type. Returns what is wrong, or nullopt. One
+/// table in wire_answers.cpp holds the pairs; they are not arithmetic
+/// (SessionDelta has two answers, and SessionStatsOk and SessionCloseOk
+/// are their request + 101).
+[[nodiscard]] std::optional<std::string> check_answer(MsgType request,
+                                                      MsgType reply,
+                                                      std::string_view payload);
+
 }  // namespace lrb::svc

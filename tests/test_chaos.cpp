@@ -167,7 +167,7 @@ TEST(Chaos, MultiReactorCacheEnabledCampaignStaysByteIdentical) {
 }
 
 TEST(ChaosStream, SessionCampaignKeepsTheDeltaLedgerIntact) {
-  // Faults injected mid-session: every SessionClient rides resets and torn
+  // Faults injected mid-session: every session stream rides resets and torn
   // frames on the exactly-once dedup path, every ack is byte-compared
   // against the serial replay mirror, and the campaign's final ledger
   // check proves no delta was lost or double-applied (server-side

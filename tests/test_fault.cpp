@@ -333,7 +333,7 @@ TEST(SvcFaultRegression, ServerRecvSurvivesEintr) {
   EintrFirstRecvIo io;
   ShimServer ts(&io);
   std::string error;
-  auto client = Client::connect_unix(ts.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(ts.path()), &error);
   ASSERT_TRUE(client) << error;
   FrameHeader header;
   std::string payload;
@@ -367,7 +367,7 @@ TEST(SvcFaultRegression, ServerSendSurvivesEintr) {
   EintrFirstSendIo io;
   ShimServer ts(&io);
   std::string error;
-  auto client = Client::connect_unix(ts.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(ts.path()), &error);
   ASSERT_TRUE(client) << error;
 
   SolveRequest request;
@@ -401,7 +401,7 @@ TEST(SvcFaultRegression, ServerFramesSurviveByteAtATimeIo) {
   ByteAtATimeIo io;
   ShimServer ts(&io);
   std::string error;
-  auto client = Client::connect_unix(ts.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(ts.path()), &error);
   ASSERT_TRUE(client) << error;
 
   SolveRequest request;

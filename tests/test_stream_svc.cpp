@@ -19,8 +19,8 @@
 
 #include "core/generators.h"
 #include "obs/metrics.h"
-#include "online/trace.h"
 #include "stream/delta_log.h"
+#include "stream/trace.h"
 #include "svc/server.h"
 #include "svc/session_client.h"
 #include "svc/wire.h"
@@ -81,11 +81,11 @@ stream::DeltaLog sample_log(std::uint64_t seed, std::size_t events) {
   trigger.spec = solver::BackendId::kBestOf;
   trigger.imbalance_ratio = 1.5;
   trigger.delta_count = 12;
-  online::TraceOptions options;
+  stream::TraceOptions options;
   options.num_events = events;
   options.departure_fraction = 0.4;
   return stream::delta_log_from_trace(
-      mixed_corpus_instance(0, seed), online::random_trace(options, seed),
+      mixed_corpus_instance(0, seed), stream::random_trace(options, seed),
       trigger);
 }
 
@@ -217,7 +217,7 @@ TEST(SessionService, CacheEnabledServerStreamsIdenticalBytes) {
 TEST(SessionService, DuplicateOpenIsIdempotentOnlyWhenPristine) {
   StreamServer server(1);
   std::string error;
-  auto client = Client::connect_unix(server.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
   ASSERT_TRUE(client) << error;
 
   const std::string payload =
@@ -247,7 +247,7 @@ TEST(SessionService, DuplicateOpenIsIdempotentOnlyWhenPristine) {
 TEST(SessionService, UnknownSessionAndBadSequenceKeepTheStreamOpen) {
   StreamServer server(1);
   std::string error;
-  auto client = Client::connect_unix(server.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
   ASSERT_TRUE(client) << error;
 
   // Deltas and stats for a session nobody opened.
@@ -285,7 +285,7 @@ TEST(SessionService, UnknownSessionAndBadSequenceKeepTheStreamOpen) {
 TEST(SessionService, CloseTombstonesTheSession) {
   StreamServer server(1);
   std::string error;
-  auto client = Client::connect_unix(server.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
   ASSERT_TRUE(client) << error;
 
   const RawReply open =
@@ -323,7 +323,7 @@ TEST(SessionService, CloseTombstonesTheSession) {
 TEST(SessionService, ExactResendOfTheLastFrameIsNotReapplied) {
   StreamServer server(1);
   std::string error;
-  auto client = Client::connect_unix(server.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
   ASSERT_TRUE(client) << error;
 
   ASSERT_EQ(raw_call(*client, MsgType::kSessionOpen, 1,
@@ -362,7 +362,7 @@ TEST(SessionService, ExactResendOfTheLastFrameIsNotReapplied) {
 TEST(SessionService, OversizedDeltaFrameIsRejectedNotFatal) {
   StreamServer server(1);
   std::string error;
-  auto client = Client::connect_unix(server.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
   ASSERT_TRUE(client) << error;
 
   ASSERT_EQ(raw_call(*client, MsgType::kSessionOpen, 1,
@@ -395,7 +395,7 @@ TEST(SessionService, OversizedDeltaFrameIsRejectedNotFatal) {
 TEST(SessionService, OverflowingSizesAreRejectedAndTheStreamStaysOpen) {
   StreamServer server(1);
   std::string error;
-  auto client = Client::connect_unix(server.path(), &error);
+  auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
   ASSERT_TRUE(client) << error;
 
   // An initial instance whose total size overflows int64 is a BadRequest.
@@ -453,7 +453,7 @@ TEST(SessionService, SessionsRespectTheCapacityLimit) {
   ASSERT_TRUE(owned->start(&error)) << error;
   std::thread runner([&owned] { owned->run(); });
 
-  auto client = Client::connect_unix(path, &error);
+  auto client = Client::connect(Endpoint::unix_socket(path), &error);
   ASSERT_TRUE(client) << error;
   ASSERT_EQ(raw_call(*client, MsgType::kSessionOpen, 1,
                      encode_session_open_request(sample_open(1)))

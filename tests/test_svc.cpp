@@ -255,7 +255,7 @@ class TestServer {
 
   Client connect() {
     std::string error;
-    auto client = Client::connect_unix(path_, &error);
+    auto client = Client::connect(Endpoint::unix_socket(path_), &error);
     EXPECT_TRUE(client) << error;
     return client ? std::move(*client) : Client();
   }
@@ -925,8 +925,8 @@ TEST(SvcLoopback, TcpListenerServesTheSameProtocol) {
   TestServer ts(std::move(options));
   ASSERT_GT(ts.server().tcp_port(), 0);
   std::string error;
-  auto client =
-      Client::connect_tcp("127.0.0.1", ts.server().tcp_port(), &error);
+  auto client = Client::connect(
+      Endpoint::tcp("127.0.0.1", ts.server().tcp_port()), &error);
   ASSERT_TRUE(client) << error;
   const SolveRequest request = sample_request(8);
   const auto outcome = client->solve(request, 77, &error);

@@ -393,11 +393,11 @@ void truncate_then_ping(TruncServer& ts, std::string_view bytes,
                         std::uint64_t probe_id) {
   std::string error;
   {
-    auto torn = Client::connect_unix(ts.path(), &error);
+    auto torn = Client::connect(Endpoint::unix_socket(ts.path()), &error);
     ASSERT_TRUE(torn) << error;
     ASSERT_TRUE(torn->send_bytes(bytes, &error)) << error;
   }  // abrupt disconnect mid-frame
-  auto probe = Client::connect_unix(ts.path(), &error);
+  auto probe = Client::connect(Endpoint::unix_socket(ts.path()), &error);
   ASSERT_TRUE(probe) << error;
   FrameHeader header;
   std::string payload;

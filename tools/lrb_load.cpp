@@ -46,6 +46,7 @@
 //                          session per connection (ignores the solve-loop
 //                          flags: --requests/--rate/--pipeline/...)
 //   --frame N (16)         session mode: deltas per SessionDelta frame
+//                          (at most 65536, the server's per-frame cap)
 //   --reconnect-every N (0) session mode: drop the connection every N
 //                          frames to exercise cross-reactor forwarding
 //   --check                verify every SolveOk payload is byte-identical to
@@ -93,9 +94,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct LoadConfig {
-  std::string unix_path;
-  std::string tcp_host;
-  int tcp_port = -1;
+  lrb::svc::Endpoint endpoint;
   std::size_t connections = 4;
   std::size_t requests = 64;
   double duration_s = 0.0;
@@ -124,15 +123,6 @@ struct WorkerStats {
 int fail(const std::string& message) {
   std::cerr << "lrb_load: " << message << "\n";
   return 1;
-}
-
-std::optional<lrb::svc::Client> connect(const LoadConfig& config,
-                                        std::string* error) {
-  if (!config.unix_path.empty()) {
-    return lrb::svc::Client::connect_unix(config.unix_path, error);
-  }
-  return lrb::svc::Client::connect_tcp(config.tcp_host, config.tcp_port,
-                                       error);
 }
 
 void note(WorkerStats& stats, std::string message) {
@@ -183,7 +173,7 @@ bool reply_matches_reference(const LoadConfig& config, std::size_t index,
 void run_worker(const LoadConfig& config, std::size_t conn, Clock::time_point
                 start, WorkerStats& stats) {
   std::string error;
-  auto client = connect(config, &error);
+  auto client = lrb::svc::Client::connect(config.endpoint, &error);
   if (!client) {
     note(stats, "connect failed: " + error);
     ++stats.other_errors;
@@ -266,7 +256,7 @@ void run_worker(const LoadConfig& config, std::size_t conn, Clock::time_point
 void run_worker_pipelined(const LoadConfig& config, std::size_t conn,
                           Clock::time_point start, WorkerStats& stats) {
   std::string error;
-  auto client = connect(config, &error);
+  auto client = lrb::svc::Client::connect(config.endpoint, &error);
   if (!client) {
     note(stats, "connect failed: " + error);
     ++stats.other_errors;
@@ -401,27 +391,31 @@ int main(int argc, char** argv) {
     config.connections = 2;
     config.requests = 24;
   }
-  config.unix_path = flags.get_or("unix", "");
+  config.endpoint.unix_path = flags.get_or("unix", "");
   if (const auto tcp = flags.get("tcp")) {
     const auto colon = tcp->rfind(':');
     if (colon == std::string::npos) return fail("--tcp wants HOST:PORT");
-    config.tcp_host = tcp->substr(0, colon);
+    config.endpoint.tcp_host = tcp->substr(0, colon);
     try {
-      config.tcp_port = std::stoi(tcp->substr(colon + 1));
+      config.endpoint.tcp_port = std::stoi(tcp->substr(colon + 1));
     } catch (...) {
       return fail("bad --tcp port");
     }
   }
-  if (config.unix_path.empty() && config.tcp_port < 0) {
+  if (config.endpoint.unix_path.empty() && config.endpoint.tcp_port < 0) {
     return fail("need one of --unix PATH / --tcp HOST:PORT");
   }
-  if (!config.unix_path.empty() && config.tcp_port >= 0) {
+  if (!config.endpoint.unix_path.empty() && config.endpoint.tcp_port >= 0) {
     return fail("--unix and --tcp are mutually exclusive");
   }
-  config.connections = static_cast<std::size_t>(flags.get_int(
-      "connections", static_cast<std::int64_t>(config.connections)));
-  config.requests = static_cast<std::size_t>(
-      flags.get_int("requests", static_cast<std::int64_t>(config.requests)));
+  const auto connections = flags.get_count(
+      "connections", static_cast<std::int64_t>(config.connections));
+  if (!connections) return fail("--connections must be a whole number >= 1");
+  config.connections = static_cast<std::size_t>(*connections);
+  const auto requests = flags.get_count(
+      "requests", static_cast<std::int64_t>(config.requests));
+  if (!requests) return fail("--requests must be a whole number >= 0");
+  config.requests = static_cast<std::size_t>(*requests);
   config.duration_s = flags.get_double("duration-s", 0.0);
   config.rate = flags.get_double("rate", 0.0);
   config.k_frac = flags.get_double("k-frac", 0.25);
@@ -452,11 +446,15 @@ int main(int argc, char** argv) {
   // path, one concurrent session per connection (distinct session ids over
   // the same transcript, so the determinism check covers concurrency too).
   if (const auto trace_path = flags.get("trace")) {
-    const std::size_t frame =
-        static_cast<std::size_t>(flags.get_int("frame", 16));
-    const std::size_t reconnect_every =
-        static_cast<std::size_t>(flags.get_int("reconnect-every", 0));
-    if (frame < 1) return fail("--frame must be >= 1");
+    const auto frame = flags.get_count("frame", 16);
+    if (!frame || *frame < 1 || *frame > svc::kMaxDeltasPerFrame) {
+      return fail("--frame must be a whole number in [1, " +
+                  std::to_string(svc::kMaxDeltasPerFrame) + "]");
+    }
+    const auto reconnect_every = flags.get_count("reconnect-every", 0);
+    if (!reconnect_every) {
+      return fail("--reconnect-every must be a whole number >= 0");
+    }
     std::ifstream in(*trace_path);
     if (!in) return fail("cannot read '" + *trace_path + "'");
     std::string log_error;
@@ -464,20 +462,16 @@ int main(int argc, char** argv) {
     if (!log) {
       return fail("bad delta log '" + *trace_path + "': " + log_error);
     }
-    const svc::Endpoint endpoint =
-        config.unix_path.empty()
-            ? svc::Endpoint::tcp(config.tcp_host, config.tcp_port)
-            : svc::Endpoint::unix_socket(config.unix_path);
     std::vector<svc::StreamRunResult> sessions(config.connections);
     std::vector<std::thread> session_threads;
     session_threads.reserve(config.connections);
     for (std::size_t c = 0; c < config.connections; ++c) {
       session_threads.emplace_back([&, c] {
         svc::StreamRunOptions run;
-        run.endpoint = endpoint;
+        run.endpoint = config.endpoint;
         run.session_id = config.seed * 1000003 + c + 1;
-        run.frame_size = frame;
-        run.reconnect_every = reconnect_every;
+        run.frame_size = static_cast<std::size_t>(*frame);
+        run.reconnect_every = static_cast<std::size_t>(*reconnect_every);
         run.check = config.check;
         run.cached = config.cache;
         run.retry.jitter_seed = config.seed + c;
@@ -574,7 +568,7 @@ int main(int argc, char** argv) {
         << "  \"tool\": \"lrb_load\",\n"
         << "  \"config\": {\n"
         << "    \"transport\": \""
-        << (config.unix_path.empty() ? "tcp" : "unix") << "\",\n"
+        << (config.endpoint.unix_path.empty() ? "tcp" : "unix") << "\",\n"
         << "    \"connections\": " << config.connections << ",\n"
         << "    \"requests_per_connection\": " << config.requests << ",\n"
         << "    \"duration_s\": " << config.duration_s << ",\n"

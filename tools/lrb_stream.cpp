@@ -2,7 +2,7 @@
 // sessions (wire v2, docs/streaming.md).
 //
 // By default it spins up an IN-PROCESS multi-reactor server, converts
-// seeded online traces (src/online/trace) into delta logs, streams them as
+// seeded online traces (src/stream/trace) into delta logs, streams them as
 // concurrent sessions, and — with --check — byte-compares every server ack
 // (open, each delta frame, stats, close) against the serial replay
 // reference (stream::replay_serial_reference's solver on a mirrored
@@ -19,7 +19,8 @@
 // Flags (defaults in parentheses):
 //   --sessions N (4)       concurrent sessions, one client thread each
 //   --deltas N (200)       deltas per session (trace events)
-//   --frame N (16)         deltas per SessionDelta frame
+//   --frame N (16)         deltas per SessionDelta frame (at most 65536,
+//                          the server's per-frame cap)
 //   --algo NAME (best-of)  replan backend (solver registry, canonical name
 //                          or alias, docs/solvers.md): greedy, m-partition,
 //                          best-of, ptas, lpt, local-search
@@ -58,12 +59,13 @@
 #include <unistd.h>
 
 #include "core/generators.h"
-#include "online/trace.h"
 #include "solver/registry.h"
 #include "stream/delta_log.h"
 #include "stream/replay.h"
+#include "stream/trace.h"
 #include "svc/server.h"
 #include "svc/session_client.h"
+#include "svc/wire.h"
 #include "util/flags.h"
 #include "util/version.h"
 
@@ -98,14 +100,24 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = flags.has("smoke");
-  std::size_t sessions = static_cast<std::size_t>(
-      flags.get_int("sessions", smoke ? 2 : 4));
-  const std::size_t deltas = static_cast<std::size_t>(
-      flags.get_int("deltas", smoke ? 60 : 200));
-  const std::size_t frame = static_cast<std::size_t>(
-      flags.get_int("frame", smoke ? 7 : 16));
-  const std::size_t reconnect_every = static_cast<std::size_t>(
-      flags.get_int("reconnect-every", smoke ? 3 : 0));
+  const auto sessions_flag = flags.get_count("sessions", smoke ? 2 : 4);
+  const auto deltas_flag = flags.get_count("deltas", smoke ? 60 : 200);
+  const auto frame_flag = flags.get_count("frame", smoke ? 7 : 16);
+  const auto reconnect_flag =
+      flags.get_count("reconnect-every", smoke ? 3 : 0);
+  if (!sessions_flag) return fail("--sessions must be a whole number >= 1");
+  if (!deltas_flag) return fail("--deltas must be a whole number >= 0");
+  if (!frame_flag || *frame_flag > svc::kMaxDeltasPerFrame) {
+    return fail("--frame must be a whole number in [1, " +
+                std::to_string(svc::kMaxDeltasPerFrame) + "]");
+  }
+  if (!reconnect_flag) {
+    return fail("--reconnect-every must be a whole number >= 0");
+  }
+  std::size_t sessions = static_cast<std::size_t>(*sessions_flag);
+  const std::size_t deltas = static_cast<std::size_t>(*deltas_flag);
+  const std::size_t frame = static_cast<std::size_t>(*frame_flag);
+  const std::size_t reconnect_every = static_cast<std::size_t>(*reconnect_flag);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const bool check = flags.has("check");
@@ -129,10 +141,10 @@ int main(int argc, char** argv) {
 
   // One deterministic delta log per session index.
   const auto make_log = [&](std::size_t index) {
-    online::TraceOptions trace_options;
+    stream::TraceOptions trace_options;
     trace_options.num_events = deltas;
     trace_options.departure_fraction = depart_frac;
-    const auto events = online::random_trace(trace_options, seed + index);
+    const auto events = stream::random_trace(trace_options, seed + index);
     return stream::delta_log_from_trace(
         mixed_corpus_instance(index, seed), events, trigger);
   };

@@ -72,6 +72,19 @@ expect_flag_rejected(workers ${LRB_BATCH} --generate 1 --workers x)
 expect_flag_rejected(workers
   ${LRB_SERVE} --unix ${WORK_DIR}/flag_check.sock --workers -1)
 
+# The same for connection, request, session, delta and frame counts: a
+# negative count used to wrap through size_t and abort in a reserve (or run
+# 2^64 - 1 requests), and a frame above the server's per-frame delta cap is
+# answered BadRequest on every retry. None of these reaches a socket.
+expect_flag_rejected(connections
+  ${LRB_LOAD} --unix ${WORK_DIR}/flag_check.sock --connections -1)
+expect_flag_rejected(requests
+  ${LRB_LOAD} --unix ${WORK_DIR}/flag_check.sock --requests x)
+expect_flag_rejected(sessions ${LRB_STREAM} --sessions -1)
+expect_flag_rejected(deltas ${LRB_STREAM} --deltas -1)
+expect_flag_rejected(frame ${LRB_STREAM} --frame -1)
+expect_flag_rejected(frame ${LRB_STREAM} --frame 65537)
+
 # Unknown flags are typos, not no-ops.
 execute_process(
   COMMAND ${LRB_GEN} --jbos 10
