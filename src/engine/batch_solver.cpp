@@ -47,8 +47,9 @@ BatchSolver::BatchSolver(BatchOptions options)
     cache_options.metrics = options_.metrics;
     cache_ = std::make_unique<cache::SolutionCache>(cache_options);
   }
-  // One warmed arena per worker plus one for the submitting thread (it
-  // helps drain the queue while blocked in parallel_for).
+  // One warmed arena per worker plus one for a submitting thread (it
+  // helps drain the queue while blocked in parallel_for) or a solve_item
+  // caller; further concurrent callers mint their own.
   std::lock_guard lock(scratch_mutex_);
   free_scratch_.reserve(pool_.size() + 1);
   for (std::size_t i = 0; i < pool_.size() + 1; ++i) {
@@ -100,11 +101,12 @@ RebalanceResult BatchSolver::run_item(Scratch& scratch, const TickItem& item) {
 RebalanceResult BatchSolver::solve_canonical(
     const TickItem& item, const cache::CanonicalInstance& canon,
     const cache::Fingerprint& fp, std::string_view key) {
-  // kNoBlock: this runs on pool workers (solve_items phase 2) and on
-  // submitters draining the pool. Either one parked on the single-flight
-  // cv would run nothing else meanwhile, holding up every item queued
-  // behind it. A duplicate in-flight key therefore solves uncached
-  // instead of waiting.
+  // kNoBlock: this runs on pool workers (solve_items phase 2), on
+  // submitters draining the pool, and on solve_item's caller (a reactor
+  // replanning a session). Any of them parked on the single-flight cv
+  // would run nothing else meanwhile, holding up every item queued behind
+  // it or every connection of its reactor. A duplicate in-flight key
+  // therefore solves uncached instead of waiting.
   auto probe = cache_->lookup_or_begin(
       fp, key, cache::SolutionCache::WaitMode::kNoBlock);
   if (probe.hit) return std::move(probe.result);
@@ -127,8 +129,32 @@ RebalanceResult BatchSolver::solve_canonical(
 }
 
 RebalanceResult BatchSolver::solve_item(const TickItem& item) {
-  auto results = solve_items(std::span<const TickItem>(&item, 1));
-  return std::move(results.front());
+  using Clock = std::chrono::steady_clock;
+  batch_counter_.add(1);
+  const auto begin = Clock::now();
+  const auto record_latency = [&] {
+    solve_latency_ms_.record(
+        std::chrono::duration<double, std::milli>(Clock::now() - begin)
+            .count());
+  };
+  if (cache_ == nullptr) {
+    RebalanceResult result;
+    {
+      ScratchLease lease(*this);
+      result = run_item(lease.get(), item);
+    }
+    solved_counter_.add(1);
+    record_latency();
+    return result;
+  }
+  // solve_items_cached for one item: no batch to dedup against.
+  const cache::CanonicalInstance canon = cache::canonicalize(*item.instance);
+  const std::string key =
+      cache::encode_cache_key(canon.instance, item.spec, item.k);
+  const RebalanceResult canonical =
+      solve_canonical(item, canon, cache::fingerprint(key), key);
+  record_latency();
+  return cache::map_to_original(canon, canonical);
 }
 
 std::vector<RebalanceResult> BatchSolver::solve_items_cached(

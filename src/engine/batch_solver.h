@@ -109,10 +109,14 @@ class BatchSolver {
       std::span<const TickItem> items,
       std::vector<double>* latencies_ms = nullptr);
 
-  /// One-item tick with per-item parameters: the streaming-session replan
-  /// entry (svc session handlers run it inline on their reactor thread).
-  /// Identical to solve_items over a single-element span, so it carries
-  /// the same determinism contract and the same cache-awareness.
+  /// One item with per-item parameters, solved on the calling thread with
+  /// a leased arena: the streaming-session replan entry (svc's
+  /// SessionTable runs it inline on a reactor thread). It never touches
+  /// the pool, so it never runs another caller's queued items first. The
+  /// result is byte-identical to solve_items over a single-element span
+  /// (same determinism contract, same cache-awareness), and it counts one
+  /// batch, one engine.solve_latency_ms sample and, unless the cache
+  /// answers, one solved instance.
   [[nodiscard]] RebalanceResult solve_item(const TickItem& item);
 
   [[nodiscard]] bool cache_enabled() const noexcept {
@@ -146,10 +150,10 @@ class BatchSolver {
                                          const TickItem& item);
   /// Probe-or-solve for one canonicalized item; returns the result in
   /// CANONICAL labels. Probes with WaitMode::kNoBlock — it runs on pool
-  /// workers and on submitters draining the pool, and a thread parked on
-  /// the single-flight cv would run nothing else meanwhile — so a key
-  /// another thread is already solving is solved uncached here rather
-  /// than waited for.
+  /// workers, on submitters draining the pool and on solve_item callers,
+  /// and a thread parked on the single-flight cv would run nothing else
+  /// meanwhile — so a key another thread is already solving is solved
+  /// uncached here rather than waited for.
   [[nodiscard]] RebalanceResult solve_canonical(
       const TickItem& item, const cache::CanonicalInstance& canon,
       const cache::Fingerprint& fp, std::string_view key);

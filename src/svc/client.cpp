@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 namespace lrb::svc {
@@ -75,7 +77,26 @@ bool connect_with_timeout(int fd, const sockaddr* addr, socklen_t addr_len,
   return true;
 }
 
+constexpr int kMaxTcpPort = 65535;
+
 }  // namespace
+
+std::optional<Endpoint> parse_tcp_endpoint(std::string_view text,
+                                           std::string* error) {
+  const auto colon = text.rfind(':');
+  int port = 0;
+  if (colon != std::string_view::npos) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data() + colon + 1, end, port);
+    if (ec == std::errc{} && ptr == end && port >= 1 && port <= kMaxTcpPort) {
+      return Endpoint::tcp(std::string(text.substr(0, colon)), port);
+    }
+  }
+  set_error(error, "want HOST:PORT with PORT a whole number in 1-" +
+                       std::to_string(kMaxTcpPort) + ", got '" +
+                       std::string(text) + "'");
+  return std::nullopt;
+}
 
 Client::~Client() { close(); }
 
@@ -123,6 +144,11 @@ std::optional<Client> Client::connect(const Endpoint& endpoint,
     addr_len = sizeof un;
     what = "connect(" + endpoint.unix_path + ")";
   } else {
+    if (endpoint.tcp_port < 1 || endpoint.tcp_port > kMaxTcpPort) {
+      set_error(error, "tcp port " + std::to_string(endpoint.tcp_port) +
+                           " out of range 1-" + std::to_string(kMaxTcpPort));
+      return std::nullopt;
+    }
     in.sin_family = AF_INET;
     in.sin_port = htons(static_cast<std::uint16_t>(endpoint.tcp_port));
     if (inet_pton(AF_INET, endpoint.tcp_host.c_str(), &in.sin_addr) != 1) {

@@ -44,6 +44,12 @@ struct Endpoint {
   }
 };
 
+/// Parses a client's "HOST:PORT" (lrb_load's and lrb_stream's --tcp) into
+/// a TCP endpoint. nullopt, with *error set, unless the text after the
+/// last colon is a whole number in 1-65535 and nothing else.
+[[nodiscard]] std::optional<Endpoint> parse_tcp_endpoint(
+    std::string_view text, std::string* error);
+
 class Client {
  public:
   Client() = default;
@@ -55,7 +61,8 @@ class Client {
 
   /// `connect_timeout_ms` 0 = blocking connect; otherwise the connect is
   /// non-blocking and fails with "connect timeout" once the budget is
-  /// spent. `io` is the socket-IO seam (real syscalls by default).
+  /// spent. A TCP port outside 1-65535 fails before any socket is made.
+  /// `io` is the socket-IO seam (real syscalls by default).
   [[nodiscard]] static std::optional<Client> connect(
       const Endpoint& endpoint, std::string* error,
       fault::SocketIo* io = &fault::SocketIo::real(),

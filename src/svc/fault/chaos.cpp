@@ -41,7 +41,7 @@ class ServerRunner {
     server_options.engine.workers = options.engine_workers;
     server_options.reactors = options.reactors;
     server_options.engine_workers = options.tick_workers;
-    server_options.cache_bytes = options.cache_bytes;
+    server_options.engine.cache_bytes = options.cache_bytes;
     server_ = std::make_unique<Server>(std::move(server_options));
     std::string error;
     started_ = server_->start(&error);

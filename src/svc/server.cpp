@@ -16,9 +16,6 @@
 #include <string>
 #include <utility>
 
-#include "cache/canonical.h"
-#include "stream/session.h"
-
 namespace lrb::svc {
 
 namespace {
@@ -36,9 +33,6 @@ engine::BatchOptions engine_options_for(const ServerOptions& options) {
       options.metrics != &obs::Registry::global()) {
     engine.metrics = options.metrics;
   }
-  if (options.cache_bytes > 0) {
-    engine.cache_bytes = options.cache_bytes;
-  }
   return engine;
 }
 
@@ -53,6 +47,7 @@ void drain_pipe(int fd) {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       solver_(engine_options_for(options_)),
+      sessions_(solver_, options_.max_sessions, *options_.metrics),
       m_conns_accepted_(options_.metrics->counter("svc.connections_accepted")),
       m_conns_closed_(options_.metrics->counter("svc.connections_closed")),
       m_bytes_in_(options_.metrics->counter("svc.bytes_in")),
@@ -61,6 +56,7 @@ Server::Server(ServerOptions options)
       m_req_solve_(options_.metrics->counter("svc.requests_solve")),
       m_req_stats_(options_.metrics->counter("svc.requests_stats")),
       m_req_drain_(options_.metrics->counter("svc.requests_drain")),
+      m_req_session_(options_.metrics->counter("svc.requests_session")),
       m_replies_ok_(options_.metrics->counter("svc.replies_solve_ok")),
       m_shed_overloaded_(options_.metrics->counter("svc.shed_overloaded")),
       m_shed_deadline_(options_.metrics->counter("svc.shed_deadline")),
@@ -70,20 +66,7 @@ Server::Server(ServerOptions options)
       m_dropped_replies_(options_.metrics->counter("svc.dropped_replies")),
       m_request_latency_ms_(
           options_.metrics->histogram("svc.request_latency_ms")),
-      m_tick_batch_(options_.metrics->histogram("svc.tick_batch_size")),
-      m_req_session_(options_.metrics->counter("svc.requests_session")),
-      m_sessions_open_(options_.metrics->gauge("stream.sessions_open")),
-      m_sessions_opened_(options_.metrics->counter("stream.sessions_opened")),
-      m_sessions_closed_(options_.metrics->counter("stream.sessions_closed")),
-      m_deltas_applied_(options_.metrics->counter("stream.deltas_applied")),
-      m_deltas_rejected_(options_.metrics->counter("stream.deltas_rejected")),
-      m_plans_emitted_(options_.metrics->counter("stream.plans_emitted")),
-      m_dup_frames_resent_(
-          options_.metrics->counter("stream.dup_frames_resent")),
-      m_forwarded_frames_(options_.metrics->counter("stream.forwarded_frames")),
-      m_moves_per_plan_(options_.metrics->histogram("stream.moves_per_plan")),
-      m_replan_latency_ms_(
-          options_.metrics->histogram("stream.replan_latency_ms")) {}
+      m_tick_batch_(options_.metrics->histogram("svc.tick_batch_size")) {}
 
 Server::~Server() {
   {
@@ -350,12 +333,6 @@ void Server::run() {
       results_inflight_.fetch_sub(1, std::memory_order_relaxed);
     }
     reactor->results.clear();
-    for (const ForwardedFrame& frame : reactor->forwarded) {
-      (void)frame;
-      m_dropped_replies_.add(1);
-      results_inflight_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    reactor->forwarded.clear();
   }
 }
 
@@ -459,38 +436,6 @@ void Server::handle_solve(Reactor& reactor, Connection& conn,
   queue_cv_.notify_one();
 }
 
-// ---------------------------------------------------------------------------
-// Streaming sessions (wire v2; see docs/streaming.md).
-//
-// Ownership model: a session lives on exactly one reactor (the one that
-// claimed its SessionOpen in the global directory). Session frames landing
-// elsewhere are forwarded to the owner and the reply rides back through
-// the origin's result inbox, so a connection is only ever written by its
-// own reactor. Forwarded frames and their replies each hold one
-// results_inflight_ reference — the reply leg is raised BEFORE the forward
-// leg is released — so the drain-ack barrier ("inflight == 0 means every
-// admitted request is answered") covers sessions exactly as it covers
-// engine Solves.
-
-namespace {
-
-std::uint64_t payload_digest(std::string_view payload) {
-  const cache::Fingerprint fp = cache::fingerprint(payload);
-  return fp.hi ^ fp.lo;
-}
-
-std::uint64_t peek_session_id(std::string_view payload) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(payload[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
 void Server::handle_session_frame(Reactor& reactor, Connection& conn,
                                   const FrameHeader& header,
                                   std::string_view payload) {
@@ -501,407 +446,8 @@ void Server::handle_session_frame(Reactor& reactor, Connection& conn,
                 "server is draining");
     return;
   }
-  if (payload.size() < 8) {
-    m_bad_requests_.add(1);
-    queue_error(reactor, conn, header.request_id, ErrorCode::kBadRequest,
-                "session payload shorter than the session id");
-    return;
-  }
-  const std::uint64_t sid = peek_session_id(payload);
-
-  // Resolve the owner (or claim ownership) in the directory, then either
-  // process inline or forward. The forward target is decided under the
-  // directory lock but the push happens after it — owner assignments are
-  // permanent for live sessions, so the entry cannot move underneath us.
-  std::size_t owner = reactor.index;
-  bool process_local = false;
-  bool claimed = false;
-  {
-    std::lock_guard lock(session_dir_mutex_);
-    const auto it = session_dir_.find(sid);
-    if (header.type == MsgType::kSessionOpen) {
-      if (it == session_dir_.end()) {
-        if (sessions_open_ >= options_.max_sessions) {
-          m_shed_overloaded_.add(1);
-          queue_error(reactor, conn, header.request_id,
-                      ErrorCode::kOverloaded, "session table at capacity");
-          return;
-        }
-        SessionDirEntry entry;
-        entry.owner = reactor.index;
-        session_dir_.emplace(sid, std::move(entry));
-        ++sessions_open_;
-        process_local = true;
-        claimed = true;
-      } else if (it->second.closed) {
-        queue_error(reactor, conn, header.request_id,
-                    ErrorCode::kSessionExists,
-                    "session id was already used and closed");
-        return;
-      } else if (it->second.owner == reactor.index) {
-        process_local = true;  // duplicate-open check against our table
-      } else {
-        owner = it->second.owner;
-      }
-    } else {
-      if (it == session_dir_.end()) {
-        queue_error(reactor, conn, header.request_id,
-                    ErrorCode::kUnknownSession, "unknown session id");
-        return;
-      }
-      if (it->second.closed) {
-        if (header.type == MsgType::kSessionClose) {
-          // Idempotent close: any reactor can resend the stored ack.
-          m_dup_frames_resent_.add(1);
-          queue_reply(reactor, conn, MsgType::kSessionCloseOk,
-                      header.request_id, it->second.close_payload);
-        } else {
-          queue_error(reactor, conn, header.request_id,
-                      ErrorCode::kSessionClosed, "session is closed");
-        }
-        return;
-      }
-      if (it->second.owner == reactor.index) {
-        process_local = true;
-      } else {
-        owner = it->second.owner;
-      }
-    }
-  }
-
-  if (process_local) {
-    if (header.type == MsgType::kSessionOpen) {
-      process_session_open(reactor, reactor.index, conn.gen, conn.fd,
-                           header.request_id, payload, claimed);
-    } else {
-      process_session_request(reactor, reactor.index, conn.gen, conn.fd,
-                              header, payload);
-    }
-    return;
-  }
-
-  // Forward to the owning reactor; the frame holds an inflight reference
-  // until the owner has produced (and accounted) its reply.
-  m_forwarded_frames_.add(1);
-  results_inflight_.fetch_add(1, std::memory_order_acq_rel);
-  ForwardedFrame frame;
-  frame.origin = reactor.index;
-  frame.conn_gen = conn.gen;
-  frame.fd = conn.fd;
-  frame.header = header;
-  frame.payload.assign(payload.data(), payload.size());
-  Reactor& target = *reactors_[owner];
-  {
-    std::lock_guard lock(target.mutex);
-    target.forwarded.push_back(std::move(frame));
-  }
-  wake_reactor(target);
-}
-
-void Server::process_forwarded(Reactor& reactor) {
-  std::deque<ForwardedFrame> frames;
-  {
-    std::lock_guard lock(reactor.mutex);
-    frames.swap(reactor.forwarded);
-  }
-  if (frames.empty()) return;
-  for (ForwardedFrame& frame : frames) {
-    process_session_request(reactor, frame.origin, frame.conn_gen, frame.fd,
-                            frame.header, frame.payload);
-    // The reply leg (raised inside deliver_session_reply) is already
-    // accounted, so releasing the forward leg here cannot let the drain
-    // barrier observe zero while the reply is still in flight.
-    results_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  if (draining_.load(std::memory_order_acquire) &&
-      results_inflight_.load(std::memory_order_acquire) == 0) {
-    wake_all_reactors();
-  }
-}
-
-void Server::process_session_request(Reactor& reactor, std::size_t origin,
-                                     std::uint64_t conn_gen, int fd,
-                                     const FrameHeader& header,
-                                     std::string_view payload) {
-  if (header.type == MsgType::kSessionOpen) {
-    process_session_open(reactor, origin, conn_gen, fd, header.request_id,
-                         payload, /*claimed=*/false);
-    return;
-  }
-  const std::uint64_t sid = peek_session_id(payload);
-  const auto it = reactor.sessions.find(sid);
-  if (it == reactor.sessions.end()) {
-    // The session vanished between the origin's directory lookup and this
-    // dispatch: it was closed (tombstone) or the degenerate claim-rollback
-    // race. Re-consult the directory for the honest answer.
-    bool closed = false;
-    std::string close_payload;
-    {
-      std::lock_guard lock(session_dir_mutex_);
-      const auto dir_it = session_dir_.find(sid);
-      if (dir_it != session_dir_.end() && dir_it->second.closed) {
-        closed = true;
-        close_payload = dir_it->second.close_payload;
-      }
-    }
-    if (closed && header.type == MsgType::kSessionClose) {
-      m_dup_frames_resent_.add(1);
-      deliver_session_reply(reactor, origin, conn_gen, fd, header.request_id,
-                            MsgType::kSessionCloseOk, close_payload);
-    } else if (closed) {
-      deliver_session_error(reactor, origin, conn_gen, fd, header.request_id,
-                            ErrorCode::kSessionClosed, "session is closed");
-    } else {
-      deliver_session_error(reactor, origin, conn_gen, fd, header.request_id,
-                            ErrorCode::kUnknownSession, "unknown session id");
-    }
-    return;
-  }
-  SessionState& state = it->second;
-  switch (header.type) {
-    case MsgType::kSessionDelta:
-      process_session_delta(reactor, state, origin, conn_gen, fd,
-                            header.request_id, payload);
-      return;
-    case MsgType::kSessionStats: {
-      SessionStatsReply reply;
-      reply.session_id = sid;
-      reply.stats = state.session.stats();
-      deliver_session_reply(reactor, origin, conn_gen, fd, header.request_id,
-                            MsgType::kSessionStatsOk,
-                            encode_session_stats_reply(reply));
-      return;
-    }
-    case MsgType::kSessionClose: {
-      const stream::SessionStats stats = state.session.stats();
-      SessionCloseReply reply;
-      reply.session_id = sid;
-      reply.deltas_applied = stats.deltas_applied;
-      reply.deltas_rejected = stats.deltas_rejected;
-      reply.plans_emitted = stats.plans_emitted;
-      const std::string encoded = encode_session_close_reply(reply);
-      {
-        std::lock_guard lock(session_dir_mutex_);
-        auto dir_it = session_dir_.find(sid);
-        if (dir_it != session_dir_.end() && !dir_it->second.closed) {
-          dir_it->second.closed = true;
-          dir_it->second.close_payload = encoded;
-          --sessions_open_;
-        }
-      }
-      reactor.sessions.erase(it);
-      m_sessions_closed_.add(1);
-      m_sessions_open_.add(-1);
-      deliver_session_reply(reactor, origin, conn_gen, fd, header.request_id,
-                            MsgType::kSessionCloseOk, encoded);
-      return;
-    }
-    default:
-      deliver_session_error(reactor, origin, conn_gen, fd, header.request_id,
-                            ErrorCode::kInternal, "unexpected session frame");
-      return;
-  }
-}
-
-void Server::process_session_open(Reactor& reactor, std::size_t origin,
-                                  std::uint64_t conn_gen, int fd,
-                                  std::uint64_t request_id,
-                                  std::string_view payload, bool claimed) {
-  auto rollback_claim = [&](std::uint64_t sid) {
-    std::lock_guard lock(session_dir_mutex_);
-    session_dir_.erase(sid);
-    --sessions_open_;
-  };
-  std::string error;
-  auto request = decode_session_open_request(payload, &error);
-  if (!request) {
-    m_bad_requests_.add(1);
-    if (claimed) rollback_claim(peek_session_id(payload));
-    deliver_session_error(reactor, origin, conn_gen, fd, request_id,
-                          ErrorCode::kBadRequest, error);
-    return;
-  }
-  const std::uint64_t sid = request->session_id;
-  const auto it = reactor.sessions.find(sid);
-  if (it != reactor.sessions.end()) {
-    // A retried SessionOpen whose ack was lost is answered byte-identically
-    // — but only while the session is still pristine AND the payload is the
-    // same bytes; anything else is a genuine id collision.
-    SessionState& state = it->second;
-    if (state.last_seq == 0 &&
-        state.open_payload_digest == payload_digest(payload)) {
-      m_dup_frames_resent_.add(1);
-      deliver_session_reply(reactor, origin, conn_gen, fd, request_id,
-                            MsgType::kSessionOpenOk,
-                            state.last_reply_payload);
-    } else {
-      deliver_session_error(reactor, origin, conn_gen, fd, request_id,
-                            ErrorCode::kSessionExists,
-                            "session id already in use");
-    }
-    return;
-  }
-  if (!claimed) {
-    // Forwarded open that raced with a close/rollback on this reactor.
-    bool closed = false;
-    {
-      std::lock_guard lock(session_dir_mutex_);
-      const auto dir_it = session_dir_.find(sid);
-      closed = dir_it != session_dir_.end() && dir_it->second.closed;
-    }
-    deliver_session_error(reactor, origin, conn_gen, fd, request_id,
-                          closed ? ErrorCode::kSessionExists
-                                 : ErrorCode::kUnknownSession,
-                          closed ? "session id was already used and closed"
-                                 : "unknown session id");
-    return;
-  }
-  auto session =
-      stream::ClusterSession::open(request->instance, request->trigger,
-                                   &error);
-  if (!session) {
-    m_bad_requests_.add(1);
-    rollback_claim(sid);
-    deliver_session_error(reactor, origin, conn_gen, fd, request_id,
-                          ErrorCode::kBadRequest, error);
-    return;
-  }
-  SessionState state;
-  state.session = std::move(*session);
-  state.open_payload_digest = payload_digest(payload);
-  SessionOpenReply reply;
-  reply.session_id = sid;
-  reply.makespan = state.session.makespan();
-  reply.lower_bound = state.session.lower_bound();
-  reply.state_digest = state.session.digest();
-  state.last_reply_type = MsgType::kSessionOpenOk;
-  state.last_reply_payload = encode_session_open_reply(reply);
-  const std::string_view encoded = state.last_reply_payload;
-  deliver_session_reply(reactor, origin, conn_gen, fd, request_id,
-                        MsgType::kSessionOpenOk, encoded);
-  reactor.sessions.emplace(sid, std::move(state));
-  m_sessions_opened_.add(1);
-  m_sessions_open_.add(1);
-}
-
-void Server::process_session_delta(Reactor& reactor, SessionState& state,
-                                   std::size_t origin, std::uint64_t conn_gen,
-                                   int fd, std::uint64_t request_id,
-                                   std::string_view payload) {
-  std::string error;
-  auto request = decode_session_delta_request(payload, &error);
-  if (!request) {
-    m_bad_requests_.add(1);
-    deliver_session_error(reactor, origin, conn_gen, fd, request_id,
-                          ErrorCode::kBadRequest, error);
-    return;
-  }
-  const std::uint32_t count =
-      static_cast<std::uint32_t>(request->deltas.size());
-  // Exactly-once deltas under retries: an exact resend of the last applied
-  // frame gets the stored reply, byte-identical; any other overlap is a
-  // sequencing bug on the client side.
-  if (count > 0 && request->first_seq == state.last_frame_first_seq &&
-      count == state.last_frame_count &&
-      state.last_seq == request->first_seq + count - 1) {
-    m_dup_frames_resent_.add(1);
-    deliver_session_reply(reactor, origin, conn_gen, fd, request_id,
-                          state.last_reply_type, state.last_reply_payload);
-    return;
-  }
-  if (request->first_seq != state.last_seq + 1) {
-    deliver_session_error(
-        reactor, origin, conn_gen, fd, request_id, ErrorCode::kBadSequence,
-        "first_seq " + std::to_string(request->first_seq) + " != expected " +
-            std::to_string(state.last_seq + 1));
-    return;
-  }
-
-  const auto solve = [this](const Instance& instance, std::int64_t k,
-                            const solver::SolverSpec& spec) {
-    engine::BatchSolver::TickItem item;
-    item.instance = &instance;
-    item.k = k;
-    item.spec = spec;
-    const auto started = std::chrono::steady_clock::now();
-    auto result = solver_.solve_item(item);
-    m_replan_latency_ms_.record(std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - started)
-                                    .count());
-    return result;
-  };
-
-  SessionDeltaReply reply;
-  reply.session_id = request->session_id;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t seq = request->first_seq + i;
-    stream::StepResult step =
-        state.session.step(request->deltas[i], seq, solve);
-    if (step.applied) {
-      ++reply.applied;
-    } else {
-      ++reply.rejected;
-      if (reply.first_error.empty()) reply.first_error = step.error;
-    }
-    for (stream::SessionPlan& plan : step.plans) {
-      m_plans_emitted_.add(1);
-      m_moves_per_plan_.record(static_cast<double>(plan.moves.size()));
-      reply.plans.push_back(std::move(plan));
-    }
-  }
-  m_deltas_applied_.add(reply.applied);
-  m_deltas_rejected_.add(reply.rejected);
-
-  state.last_seq = count > 0 ? request->first_seq + count - 1 : state.last_seq;
-  reply.last_seq = state.last_seq;
-  reply.makespan = state.session.makespan();
-  reply.lower_bound = state.session.lower_bound();
-  reply.state_digest = state.session.digest();
-  state.last_frame_first_seq = request->first_seq;
-  state.last_frame_count = count;
-  state.last_reply_type = session_reply_type(reply);
-  state.last_reply_payload = encode_session_delta_reply(reply);
-  deliver_session_reply(reactor, origin, conn_gen, fd, request_id,
-                        state.last_reply_type, state.last_reply_payload);
-}
-
-void Server::deliver_session_reply(Reactor& reactor, std::size_t origin,
-                                   std::uint64_t conn_gen, int fd,
-                                   std::uint64_t request_id, MsgType type,
-                                   std::string_view payload) {
-  if (origin == reactor.index) {
-    const auto it = reactor.connections.find(fd);
-    if (it == reactor.connections.end() || it->second.gen != conn_gen) {
-      m_dropped_replies_.add(1);
-      return;
-    }
-    queue_reply(reactor, it->second, type, request_id, payload);
-    return;
-  }
-  // Cross-reactor: ride the origin's result inbox (generation-checked
-  // there, exactly like an engine-worker outcome).
-  SolveOutcome outcome;
-  outcome.reactor = origin;
-  outcome.conn_gen = conn_gen;
-  outcome.fd = fd;
-  outcome.request_id = request_id;
-  outcome.type = type;
-  outcome.payload.assign(payload.data(), payload.size());
-  results_inflight_.fetch_add(1, std::memory_order_acq_rel);
-  Reactor& target = *reactors_[origin];
-  {
-    std::lock_guard lock(target.mutex);
-    target.results.push_back(std::move(outcome));
-  }
-  wake_reactor(target);
-}
-
-void Server::deliver_session_error(Reactor& reactor, std::size_t origin,
-                                   std::uint64_t conn_gen, int fd,
-                                   std::uint64_t request_id, ErrorCode code,
-                                   std::string_view text) {
-  deliver_session_reply(reactor, origin, conn_gen, fd, request_id,
-                        MsgType::kError, encode_error_payload(code, text));
+  const MsgType type = sessions_.handle(header.type, payload, reactor.scratch);
+  queue_reply(reactor, conn, type, header.request_id, reactor.scratch);
 }
 
 bool Server::process_frames(Reactor& reactor, Connection& conn) {
@@ -1099,10 +645,7 @@ bool Server::reactor_drained(Reactor& reactor) {
   if (results_inflight_.load(std::memory_order_acquire) != 0) return false;
   {
     std::lock_guard lock(reactor.mutex);
-    if (!reactor.incoming.empty() || !reactor.results.empty() ||
-        !reactor.forwarded.empty()) {
-      return false;
-    }
+    if (!reactor.incoming.empty() || !reactor.results.empty()) return false;
   }
   for (const auto& [fd, conn] : reactor.connections) {
     if (conn.wants_drain_ack || conn.write_pos < conn.write_buf.size()) {
@@ -1138,7 +681,6 @@ void Server::flush_dirty(Reactor& reactor) {
 void Server::reactor_loop(Reactor& reactor) {
   for (;;) {
     adopt_incoming(reactor);
-    process_forwarded(reactor);
     drain_results(reactor);
     maybe_finish_drain(reactor);
     flush_dirty(reactor);

@@ -17,13 +17,12 @@
 //   ─ non-blocking reads, incremental frame parsing (partial reads OK)
 //   ─ admission control: queue depth >= max_queue -> Overloaded reply
 //   ─ answers Ping/Stats inline; queues Solve on the shared pending queue
-//   ─ owns its shard of the streaming-session tables (wire v2): sessions
-//     are pinned to the reactor that accepted their SessionOpen; frames
-//     for a session that land on another reactor (round-robin dealing,
-//     client reconnects) are forwarded to the owner via its `forwarded`
-//     inbox and the reply rides back through the origin's result inbox —
-//     see docs/streaming.md. Session replans run INLINE on the owning
-//     reactor thread through the shared BatchSolver (cache-aware).
+//   ─ answers streaming-session frames (wire v2) inline through the one
+//     SessionTable (svc/session_table.h), whichever reactor they land on:
+//     each session has its own mutex, so its frames run one at a time
+//     while different sessions run on different reactors. Replans run on
+//     the reactor thread through the shared BatchSolver (cache-aware) —
+//     see docs/streaming.md.
 //   ─ writes replies, partial writes buffered and driven by POLLOUT
 //   ─ per-reactor svc.reactor<i>.* counters next to the svc.* aggregates
 //
@@ -56,7 +55,7 @@
 // (engine::solve_serial_reference) regardless of batching composition or
 // concurrency — per-reactor framing, tick coalescing, and concurrent ticks
 // cannot change any reply, because BatchSolver guarantees exactly that per
-// instance. With the solution cache enabled (cache_bytes > 0) the
+// instance. With the solution cache enabled (engine.cache_bytes > 0) the
 // reference is engine::cached_serial_reference instead — still a pure
 // function of the request, identical on cold misses and warm hits
 // (docs/caching.md).
@@ -78,6 +77,7 @@
 #include "engine/batch_solver.h"
 #include "obs/metrics.h"
 #include "svc/fault/io_shim.h"
+#include "svc/session_table.h"
 #include "svc/wire.h"
 
 namespace lrb::svc {
@@ -91,14 +91,13 @@ struct ServerOptions {
   int tcp_port = -1;
   std::string tcp_bind = "127.0.0.1";
 
-  engine::BatchOptions engine;  ///< pool size, default algo params, metrics
-
-  /// Byte budget for the engine's canonicalizing solution cache
-  /// (docs/caching.md); 0 leaves it to engine.cache_bytes (default: off).
-  /// Cache hits skip the solver entirely and replies stay byte-identical
-  /// to engine::cached_serial_reference. Exposed by lrb_serve --cache-mb;
-  /// cache.* counters/gauges appear in the Stats JSON snapshot.
-  std::size_t cache_bytes = 0;
+  /// Pool size, default algo params, metrics, and the byte budget of the
+  /// canonicalizing solution cache (engine.cache_bytes, docs/caching.md;
+  /// 0 = off). Cache hits skip the solver entirely and replies stay
+  /// byte-identical to engine::cached_serial_reference. lrb_serve
+  /// --cache-mb sets the cache budget; cache.* counters/gauges appear in
+  /// the Stats JSON snapshot.
+  engine::BatchOptions engine;
 
   /// Event-loop shards: each reactor thread owns its own poll loop,
   /// self-pipe, and connection table; the acceptor deals new connections
@@ -200,39 +199,10 @@ class Server {
     double request_latency_ms = 0.0;
   };
 
-  /// A session frame that landed on a reactor that does not own the
-  /// session: re-queued verbatim onto the owner's `forwarded` inbox. The
-  /// reply travels back through the ORIGIN reactor's result inbox (the
-  /// same generation-checked route engine workers use), so the connection
-  /// is only ever touched by its own reactor.
-  struct ForwardedFrame {
-    std::size_t origin = 0;  ///< reactor owning the connection
-    std::uint64_t conn_gen = 0;
-    int fd = -1;
-    FrameHeader header;
-    std::string payload;
-  };
-
-  /// One streaming session, owned by exactly one reactor (no locks: only
-  /// the owning reactor thread touches it). `last_reply_*` snapshot the
-  /// most recent state-advancing reply so an exact duplicate frame — a
-  /// client retry whose reply was lost — is answered byte-identically
-  /// instead of re-applied: the delta exactly-once contract.
-  struct SessionState {
-    stream::ClusterSession session;
-    std::uint64_t last_seq = 0;          ///< highest delta seq consumed
-    std::uint64_t open_payload_digest = 0;  ///< idempotent re-open check
-    std::uint64_t last_frame_first_seq = 0;
-    std::uint32_t last_frame_count = 0;
-    MsgType last_reply_type = MsgType::kSessionOpenOk;
-    std::string last_reply_payload;
-  };
-
-  /// One event-loop shard. `mutex` guards only the three cross-thread
+  /// One event-loop shard. `mutex` guards only the two cross-thread
   /// inboxes (`incoming` from the acceptor, `results` from the engine
-  /// workers, `forwarded` from sibling reactors); everything else is owned
-  /// by the reactor thread alone (touched by run()/~Server only after the
-  /// thread is joined).
+  /// workers); everything else is owned by the reactor thread alone
+  /// (touched by run()/~Server only after the thread is joined).
   struct Reactor {
     std::size_t index = 0;
     int wake_pipe[2] = {-1, -1};  ///< [0] polled; [1] written by others
@@ -241,11 +211,8 @@ class Server {
     std::mutex mutex;
     std::deque<int> incoming;  ///< accepted fds awaiting adoption
     std::deque<SolveOutcome> results;
-    std::deque<ForwardedFrame> forwarded;
 
     std::map<int, Connection> connections;
-    /// Sessions pinned to this reactor, keyed by session id.
-    std::map<std::uint64_t, SessionState> sessions;
     std::vector<pollfd> fds;  ///< slot 0 = wake pipe; maintained in place
     std::vector<int> dirty_fds;
     std::string scratch;  ///< reused reply-payload encode buffer
@@ -277,44 +244,11 @@ class Server {
   void handle_solve(Reactor& reactor, Connection& conn,
                     const FrameHeader& header, std::string_view payload);
 
-  // -- streaming sessions (wire v2; see docs/streaming.md) --
-  /// Entry for the four session MsgTypes: resolves the owner in the
-  /// session directory, forwards to it when it is not this reactor, and
-  /// otherwise processes the frame inline.
+  /// The four session MsgTypes (wire v2; see docs/streaming.md):
+  /// answered through sessions_ on this reactor, onto this connection.
   void handle_session_frame(Reactor& reactor, Connection& conn,
                             const FrameHeader& header,
                             std::string_view payload);
-  /// Drains the reactor's `forwarded` inbox (frames re-queued by sibling
-  /// reactors); replies ride back through the origin's result inbox.
-  void process_forwarded(Reactor& reactor);
-  /// Processes one session frame on the OWNING reactor. Appends the reply
-  /// (type, payload) via deliver_session_reply, which routes locally or
-  /// cross-reactor as needed.
-  void process_session_request(Reactor& reactor, std::size_t origin,
-                               std::uint64_t conn_gen, int fd,
-                               const FrameHeader& header,
-                               std::string_view payload);
-  /// `claimed` marks the fresh-claim path (this call just inserted the
-  /// directory entry); decode/validation failures roll that claim back.
-  void process_session_open(Reactor& reactor, std::size_t origin,
-                            std::uint64_t conn_gen, int fd,
-                            std::uint64_t request_id,
-                            std::string_view payload, bool claimed);
-  void process_session_delta(Reactor& reactor, SessionState& state,
-                             std::size_t origin, std::uint64_t conn_gen,
-                             int fd, std::uint64_t request_id,
-                             std::string_view payload);
-  /// Routes a session reply to the connection that sent the frame: queued
-  /// directly when `origin` is this reactor, else pushed as a SolveOutcome
-  /// onto the origin's result inbox (the generation check happens there).
-  void deliver_session_reply(Reactor& reactor, std::size_t origin,
-                             std::uint64_t conn_gen, int fd,
-                             std::uint64_t request_id, MsgType type,
-                             std::string_view payload);
-  void deliver_session_error(Reactor& reactor, std::size_t origin,
-                             std::uint64_t conn_gen, int fd,
-                             std::uint64_t request_id, ErrorCode code,
-                             std::string_view text);
   void queue_reply(Reactor& reactor, Connection& conn, MsgType type,
                    std::uint64_t request_id, std::string_view payload);
   void queue_error(Reactor& reactor, Connection& conn,
@@ -332,6 +266,7 @@ class Server {
 
   ServerOptions options_;
   engine::BatchSolver solver_;
+  SessionTable sessions_;  ///< replans through solver_
 
   int unix_listener_ = -1;
   int tcp_listener_ = -1;
@@ -342,21 +277,6 @@ class Server {
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::size_t next_reactor_ = 0;  ///< round-robin dealing cursor (acceptor)
-
-  /// Global session directory: which reactor owns each session id, plus a
-  /// tombstone after close (so ANY reactor can resend the CloseOk to a
-  /// retrying client, and closed ids cannot be reopened). Guarded by
-  /// session_dir_mutex_; reactors take it only on session frames, never on
-  /// the solve hot path.
-  struct SessionDirEntry {
-    std::size_t owner = 0;
-    bool closed = false;
-    std::string close_payload;  ///< stored CloseOk (tombstone resend)
-  };
-  std::mutex session_dir_mutex_;
-  std::map<std::uint64_t, SessionDirEntry> session_dir_;
-  std::size_t sessions_open_ = 0;  ///< live (non-tombstone) entries
-
 
   std::atomic<std::uint64_t> conn_gen_counter_{0};
   std::atomic<std::size_t> conn_count_{0};  ///< across all reactors
@@ -388,6 +308,7 @@ class Server {
   obs::Counter& m_req_solve_;
   obs::Counter& m_req_stats_;
   obs::Counter& m_req_drain_;
+  obs::Counter& m_req_session_;
   obs::Counter& m_replies_ok_;
   obs::Counter& m_shed_overloaded_;
   obs::Counter& m_shed_deadline_;
@@ -397,19 +318,6 @@ class Server {
   obs::Counter& m_dropped_replies_;
   obs::Histogram& m_request_latency_ms_;
   obs::Histogram& m_tick_batch_;
-
-  // stream.* metrics (streaming sessions; see docs/streaming.md).
-  obs::Counter& m_req_session_;
-  obs::Gauge& m_sessions_open_;
-  obs::Counter& m_sessions_opened_;
-  obs::Counter& m_sessions_closed_;
-  obs::Counter& m_deltas_applied_;
-  obs::Counter& m_deltas_rejected_;
-  obs::Counter& m_plans_emitted_;
-  obs::Counter& m_dup_frames_resent_;
-  obs::Counter& m_forwarded_frames_;
-  obs::Histogram& m_moves_per_plan_;
-  obs::Histogram& m_replan_latency_ms_;
 };
 
 /// Installs a SIGTERM + SIGINT handler that calls server->notify_signal().

@@ -99,7 +99,7 @@ StreamRunResult run_session_stream(const stream::DeltaLog& log,
     if (options.reconnect_every > 0 && result.frames_sent > 0 &&
         result.frames_sent % options.reconnect_every == 0) {
       client.disconnect();  // next frame reconnects — often to a different
-                            // reactor, exercising session forwarding
+                            // reactor, which answers it itself
     }
     reply = call(MsgType::kSessionDelta, encode_session_delta_request(frame));
     if (!reply) return fail("deltas at seq " + std::to_string(seq) + ": " +

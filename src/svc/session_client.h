@@ -32,8 +32,9 @@ struct StreamRunOptions {
   std::size_t frame_size = 16;
   /// Drop the connection after every N delta frames (0 = never): the next
   /// frame reconnects and usually lands on a DIFFERENT reactor (round-robin
-  /// dealing), driving the server's cross-reactor forwarding path. Replies
-  /// must stay byte-identical — pinning that is the point.
+  /// dealing), which answers it from the shared session table; nothing is
+  /// forwarded. Replies must stay byte-identical — pinning that is the
+  /// point.
   std::size_t reconnect_every = 0;
   /// Byte-compare every ack (open, each delta frame, stats, close) against
   /// the locally mirrored stream::replay_serial_reference transcript.

@@ -7,9 +7,12 @@
 // destructor joins all workers (draining any still-queued work first), so
 // the pool is exception-safe to scope. parallel_for lets a blocked caller
 // help drain the queue (try_run_one): the engine's submitting threads (a
-// server's tick workers, and reactors replanning a session inline) run
-// queued items themselves instead of parking, and a parallel_for nested in
-// a pool task cannot deadlock.
+// server's tick workers) run queued items themselves instead of parking,
+// and a parallel_for nested in a pool task cannot deadlock. A helping
+// caller runs whatever is at the head of the FIFO queue, other callers'
+// items included, which is why the engine's one-item entry
+// (BatchSolver::solve_item, a reactor's session replan) does not use the
+// pool at all.
 
 #pragma once
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "core/generators.h"
 #include "core/instance.h"
 #include "engine/batch_solver.h"
+#include "obs/metrics.h"
 #include "solver/registry.h"
 
 namespace lrb {
@@ -363,6 +366,69 @@ TEST(BatchSolver, AWarmedArenaReusedAcrossInstanceShapesLeavesNothingStale) {
                   engine::solve_serial_reference(backend, instance, k),
                   std::string(solver::backend_name(backend)) + " " + name);
     }
+  }
+}
+
+TEST(BatchSolver, SolveItemNeverRunsAnotherCallersQueuedItems) {
+  // A one-worker engine busy with a tick of six PTAS items: the worker and
+  // the tick's own thread each run one, and the other four wait in the
+  // pool's FIFO queue. A caller of solve_item (a reactor replanning a
+  // session) must solve its own 5-job item on the spot, not help drain
+  // the queue and run someone else's PTAS first.
+  const Instance heavy = mixed_corpus_instance(51, 1);
+  ASSERT_EQ(heavy.num_jobs(), 512u);
+  const solver::SolverSpec ptas(BackendId::kPtas);
+  const std::int64_t heavy_k =
+      static_cast<std::int64_t>(heavy.num_jobs() / 4);
+  const auto serial_begin = std::chrono::steady_clock::now();
+  const RebalanceResult serial =
+      engine::solve_serial_reference(ptas, heavy, heavy_k);
+  const double serial_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() -
+                               serial_begin)
+                               .count();
+
+  obs::Registry registry;
+  BatchOptions options;
+  options.workers = 1;
+  options.metrics = &registry;
+  BatchSolver solver(options);
+  std::vector<BatchSolver::TickItem> tick(6);
+  for (BatchSolver::TickItem& item : tick) {
+    item.instance = &heavy;
+    item.k = heavy_k;
+    item.spec = ptas;
+  }
+  std::vector<RebalanceResult> tick_results;
+  std::thread ticker([&] { tick_results = solver.solve_items(tick); });
+  // The tick has queued its items once it has counted its batch; give its
+  // thread and the worker a moment to start on theirs.
+  while (registry.counter("engine.batches").value() == 0) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  const Instance light = make_instance({5, 4, 3, 2, 1}, {0, 0, 0, 1, 1}, 2);
+  BatchSolver::TickItem item;
+  item.instance = &light;
+  item.k = 1;
+  item.spec = BackendId::kGreedy;
+  const auto begin = std::chrono::steady_clock::now();
+  const RebalanceResult result = solver.solve_item(item);
+  const double item_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  ticker.join();
+
+  EXPECT_LT(item_ms, serial_ms / 2)
+      << "solve_item took " << item_ms << " ms; one serial PTAS solve took "
+      << serial_ms << " ms";
+  expect_same(result,
+              engine::solve_serial_reference(BackendId::kGreedy, light, 1),
+              "solve_item beside a busy tick");
+  ASSERT_EQ(tick_results.size(), tick.size());
+  for (const RebalanceResult& got : tick_results) {
+    expect_same(got, serial, "queued PTAS item");
   }
 }
 

@@ -1,7 +1,7 @@
 // End-to-end tests for streaming sessions on the sharded server
 // (docs/streaming.md): the byte-identity contract against the serial
-// replay reference across reactors and reconnects, session pinning and
-// cross-reactor forwarding, exactly-once delta dedup, and every session
+// replay reference across reactors and reconnects, one session driven from
+// several reactors at once, exactly-once delta dedup, and every session
 // error path — all of which must answer the offending frame and leave the
 // connection open.
 
@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "core/generators.h"
 #include "obs/metrics.h"
 #include "stream/delta_log.h"
+#include "stream/replay.h"
 #include "stream/trace.h"
 #include "svc/server.h"
 #include "svc/session_client.h"
@@ -46,7 +48,7 @@ class StreamServer {
     options.reactors = reactors;
     options.engine_workers = 2;
     options.engine.workers = 2;
-    options.cache_bytes = cache_bytes;
+    options.engine.cache_bytes = cache_bytes;
     server_ = std::make_unique<Server>(std::move(options));
     std::string error;
     if (!server_->start(&error)) {
@@ -152,9 +154,9 @@ TEST(SessionService, CheckedStreamSurvivesCrossReactorForwarding) {
   run.endpoint = Endpoint::unix_socket(server.path());
   run.session_id = 1;
   run.frame_size = 5;
-  // Reconnect after EVERY frame: round-robin dealing then lands most
-  // frames on reactors that do not own the session, so every one of those
-  // acks crossed the forwarding path — and still byte-matched.
+  // Reconnect after EVERY frame: round-robin dealing then lands the
+  // frames on every reactor in turn, most of them not the one that opened
+  // the session, and every ack still byte-matched.
   run.reconnect_every = 1;
   run.check = true;
   const StreamRunResult result = run_session_stream(log, run);
@@ -164,10 +166,139 @@ TEST(SessionService, CheckedStreamSurvivesCrossReactorForwarding) {
   EXPECT_GT(result.deltas_applied, 0u);
 
   server.drain();
-  EXPECT_GT(server.registry().counter("stream.forwarded_frames").value(), 0);
+  EXPECT_GT(server.registry().counter("svc.connections_accepted").value(), 3);
   EXPECT_EQ(server.registry().counter("stream.sessions_opened").value(), 1);
   EXPECT_EQ(server.registry().counter("stream.sessions_closed").value(), 1);
   EXPECT_EQ(server.registry().gauge("stream.sessions_open").value(), 0);
+}
+
+TEST(SessionService, OneSessionDrivenFromEveryReactorAppliesEachFrameOnce) {
+  // One connection per reactor (the acceptor deals round-robin). The
+  // session opens on reactor 0; every delta frame then goes out twice at
+  // the same moment, from reactors 1 and 2, as a retry racing its
+  // original would. The session lock lets exactly one copy apply; the
+  // other gets the stored reply, byte for byte.
+  constexpr std::size_t kReactors = 3;
+  StreamServer server(kReactors);
+  std::vector<Client> clients;
+  for (std::size_t r = 0; r < kReactors; ++r) {
+    std::string error;
+    auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
+    ASSERT_TRUE(client) << error;
+    ASSERT_EQ(raw_call(*client, MsgType::kPing, r + 1, "").type,
+              MsgType::kPong);
+    clients.push_back(std::move(*client));
+  }
+
+  const stream::DeltaLog log = sample_log(23, 90);
+  constexpr std::uint64_t kSession = 77;
+  SessionOpenRequest open;
+  open.session_id = kSession;
+  open.trigger = log.trigger;
+  open.instance = log.initial;
+  ASSERT_EQ(raw_call(clients[0], MsgType::kSessionOpen, 10,
+                     encode_session_open_request(open))
+                .type,
+            MsgType::kSessionOpenOk);
+
+  constexpr std::size_t kFrame = 3;
+  std::size_t frames = 0;
+  std::uint64_t request_id = 100;
+  for (std::size_t first = 0; first < log.deltas.size(); first += kFrame) {
+    SessionDeltaRequest request;
+    request.session_id = kSession;
+    request.first_seq = first + 1;
+    const std::size_t end = std::min(first + kFrame, log.deltas.size());
+    for (std::size_t i = first; i < end; ++i) {
+      request.deltas.push_back(log.deltas[i]);
+    }
+    const std::string payload = encode_session_delta_request(request);
+    RawReply replies[2];
+    std::thread racers[2];
+    for (std::size_t i = 0; i < 2; ++i) {
+      racers[i] = std::thread([&, i] {
+        replies[i] = raw_call(clients[1 + i], MsgType::kSessionDelta,
+                              request_id, payload);
+      });
+    }
+    for (std::thread& racer : racers) racer.join();
+    ASSERT_TRUE(replies[0].type == MsgType::kSessionDeltaOk ||
+                replies[0].type == MsgType::kSessionPlan)
+        << "frame " << frames;
+    EXPECT_EQ(replies[1].type, replies[0].type) << "frame " << frames;
+    EXPECT_EQ(replies[1].payload, replies[0].payload) << "frame " << frames;
+    ++frames;
+    ++request_id;
+  }
+
+  const stream::ReplayResult reference =
+      stream::replay_serial_reference(log.initial, log.trigger, log.deltas);
+  ASSERT_TRUE(reference.ok) << reference.error;
+  const RawReply stats =
+      raw_call(clients[0], MsgType::kSessionStats, request_id,
+               encode_session_id_payload(kSession));
+  ASSERT_EQ(stats.type, MsgType::kSessionStatsOk);
+  SessionStatsReply expected;
+  expected.session_id = kSession;
+  expected.stats = reference.final_stats;
+  EXPECT_EQ(stats.payload, encode_session_stats_reply(expected));
+
+  clients.clear();
+  server.drain();
+  // Counted once drained: the acceptor counts a connection after handing
+  // it to its reactor, which may already have answered the Ping.
+  for (std::size_t r = 0; r < kReactors; ++r) {
+    EXPECT_EQ(server.registry()
+                  .counter("svc.reactor" + std::to_string(r) +
+                           ".connections_accepted")
+                  .value(),
+              1)
+        << "reactor " << r;
+  }
+  EXPECT_EQ(server.registry().counter("stream.deltas_applied").value(),
+            reference.final_stats.deltas_applied);
+  EXPECT_EQ(server.registry().counter("stream.dup_frames_resent").value(),
+            frames);
+}
+
+TEST(SessionService, RacingOpensOfOneIdOpenItOnce) {
+  // Two reactors decode and build the same SessionOpen at once. Only the
+  // first record inserted stands; the other copy is answered as a resend
+  // of a pristine session's open, byte for byte.
+  constexpr std::size_t kReactors = 2;
+  constexpr std::uint64_t kIds = 20;
+  StreamServer server(kReactors);
+  std::vector<Client> clients;
+  for (std::size_t r = 0; r < kReactors; ++r) {
+    std::string error;
+    auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
+    ASSERT_TRUE(client) << error;
+    clients.push_back(std::move(*client));
+  }
+  for (std::uint64_t id = 1; id <= kIds; ++id) {
+    SessionOpenRequest open = sample_open(id);
+    open.instance = mixed_corpus_instance(51, 1);  // 512 jobs: a slow build
+    const std::string payload = encode_session_open_request(open);
+    RawReply replies[kReactors];
+    std::thread racers[kReactors];
+    for (std::size_t r = 0; r < kReactors; ++r) {
+      racers[r] = std::thread([&, r] {
+        replies[r] = raw_call(clients[r], MsgType::kSessionOpen, id, payload);
+      });
+    }
+    for (std::thread& racer : racers) racer.join();
+    EXPECT_EQ(replies[0].type, MsgType::kSessionOpenOk) << "id " << id;
+    EXPECT_EQ(replies[1].type, MsgType::kSessionOpenOk) << "id " << id;
+    EXPECT_EQ(replies[1].payload, replies[0].payload) << "id " << id;
+  }
+  clients.clear();
+  server.drain();
+  EXPECT_EQ(server.registry().counter("stream.sessions_opened").value(),
+            kIds);
+  EXPECT_EQ(server.registry().gauge("stream.sessions_open").value(),
+            static_cast<std::int64_t>(kIds));
+  EXPECT_EQ(server.registry().counter("stream.dup_frames_resent").value(),
+            kIds);
 }
 
 TEST(SessionService, ConcurrentSessionsAllMatchTheSerialReference) {

@@ -804,8 +804,27 @@ TEST(MultiReactor, PerReactorCountersReconcileWithAggregates) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // Quiesced (every reply fully received), the per-reactor rows must sum
-  // to the aggregates the single-reactor server reported.
+  // The Stats snapshot carries the per-reactor rows, so operators see the
+  // shard balance through the same endpoint as the aggregates.
+  {
+    Client client = ts.connect();
+    FrameHeader header;
+    std::string payload, error;
+    ASSERT_TRUE(
+        client.call(MsgType::kStats, 999, "", &header, &payload, &error))
+        << error;
+    ASSERT_EQ(header.type, MsgType::kStatsOk);
+    for (std::size_t i = 0; i < kReactors; ++i) {
+      const std::string row =
+          "svc.reactor" + std::to_string(i) + ".requests_solve";
+      EXPECT_NE(payload.find(row), std::string::npos)
+          << "missing `" << row << "` in stats snapshot";
+    }
+  }
+  // Drained, the per-reactor rows must sum to the aggregates. Not before:
+  // a reactor counts bytes_out only after send() returns, so a client can
+  // hold its last reply before either count has moved.
+  ts.finish();
   const std::uint64_t total = kClients * kSolvesPerClient;
   EXPECT_EQ(ts.registry().counter("svc.requests_solve").value(), total);
   EXPECT_EQ(reactor_counter_sum(ts.registry(), kReactors, "requests_solve"),
@@ -815,21 +834,6 @@ TEST(MultiReactor, PerReactorCountersReconcileWithAggregates) {
   EXPECT_EQ(reactor_counter_sum(ts.registry(), kReactors, "bytes_out"),
             ts.registry().counter("svc.bytes_out").value());
   EXPECT_GT(ts.registry().counter("svc.bytes_in").value(), 0u);
-  // The Stats snapshot carries the per-reactor rows, so operators see the
-  // shard balance through the same endpoint as the aggregates.
-  Client client = ts.connect();
-  FrameHeader header;
-  std::string payload, error;
-  ASSERT_TRUE(
-      client.call(MsgType::kStats, 999, "", &header, &payload, &error))
-      << error;
-  ASSERT_EQ(header.type, MsgType::kStatsOk);
-  for (std::size_t i = 0; i < kReactors; ++i) {
-    const std::string row =
-        "svc.reactor" + std::to_string(i) + ".requests_solve";
-    EXPECT_NE(payload.find(row), std::string::npos)
-        << "missing `" << row << "` in stats snapshot";
-  }
 }
 
 TEST(MultiReactor, DrainAnswersInFlightOnEveryReactorBeforeAck) {
@@ -933,6 +937,31 @@ TEST(SvcLoopback, TcpListenerServesTheSameProtocol) {
   ASSERT_TRUE(outcome) << error;
   ASSERT_TRUE(outcome->result);
   EXPECT_EQ(outcome->raw_payload, expected_reply_payload(request));
+}
+
+TEST(SvcClient, TcpPortOutsideOneTo65535IsRefused) {
+  std::string error;
+  const auto endpoint = parse_tcp_endpoint("127.0.0.1:7733", &error);
+  ASSERT_TRUE(endpoint) << error;
+  EXPECT_EQ(endpoint->tcp_host, "127.0.0.1");
+  EXPECT_EQ(endpoint->tcp_port, 7733);
+  EXPECT_TRUE(endpoint->unix_path.empty());
+  for (const char* text :
+       {"127.0.0.1", "127.0.0.1:", "127.0.0.1:80x", "127.0.0.1: 80",
+        "127.0.0.1:+80", "127.0.0.1:0", "127.0.0.1:-1", "127.0.0.1:65536",
+        "127.0.0.1:110527"}) {
+    error.clear();
+    EXPECT_FALSE(parse_tcp_endpoint(text, &error)) << text;
+    EXPECT_NE(error.find(text), std::string::npos) << error;
+  }
+  // Client::connect checks the range itself instead of letting the port
+  // wrap through uint16_t (110527 would connect to 44991).
+  for (const int port : {0, -1, 65536, 110527}) {
+    error.clear();
+    EXPECT_FALSE(Client::connect(Endpoint::tcp("127.0.0.1", port), &error))
+        << port;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

@@ -69,7 +69,9 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/cost_partition.h"
@@ -202,15 +204,17 @@ FuzzCase draw_case(Rng& rng, std::int64_t max_jobs, std::int64_t max_procs) {
   return out;
 }
 
-/// M-PARTITION solved through the shared engine (its pool and leased
-/// arenas), as the serving layer solves one request.
+/// M-PARTITION solved through the shared engine as a one-item tick (its
+/// pool and leased arenas), so concurrent fuzz jobs contend for the pool
+/// the way a server's Solve ticks do.
 RebalanceResult engine_m_partition(engine::BatchSolver& batch,
                                    const Instance& instance, std::int64_t k) {
   engine::BatchSolver::TickItem item;
   item.instance = &instance;
   item.k = k;
   item.spec = solver::BackendId::kMPartition;
-  return batch.solve_item(item);
+  const std::span<const engine::BatchSolver::TickItem> tick(&item, 1);
+  return std::move(batch.solve_items(tick).front());
 }
 
 /// True iff the engine's M-PARTITION reproduces the serial entry point

@@ -48,7 +48,8 @@
 //   --frame N (16)         session mode: deltas per SessionDelta frame
 //                          (at most 65536, the server's per-frame cap)
 //   --reconnect-every N (0) session mode: drop the connection every N
-//                          frames to exercise cross-reactor forwarding
+//                          frames; the next frame lands on another reactor,
+//                          which answers it from the shared session table
 //   --check                verify every SolveOk payload is byte-identical to
 //                          engine::solve_serial_reference on the same instance
 //   --cache                the server runs with --cache-mb: --check compares
@@ -393,14 +394,11 @@ int main(int argc, char** argv) {
   }
   config.endpoint.unix_path = flags.get_or("unix", "");
   if (const auto tcp = flags.get("tcp")) {
-    const auto colon = tcp->rfind(':');
-    if (colon == std::string::npos) return fail("--tcp wants HOST:PORT");
-    config.endpoint.tcp_host = tcp->substr(0, colon);
-    try {
-      config.endpoint.tcp_port = std::stoi(tcp->substr(colon + 1));
-    } catch (...) {
-      return fail("bad --tcp port");
-    }
+    std::string error;
+    const auto endpoint = svc::parse_tcp_endpoint(*tcp, &error);
+    if (!endpoint) return fail("--tcp: " + error);
+    config.endpoint.tcp_host = endpoint->tcp_host;
+    config.endpoint.tcp_port = endpoint->tcp_port;
   }
   if (config.endpoint.unix_path.empty() && config.endpoint.tcp_port < 0) {
     return fail("need one of --unix PATH / --tcp HOST:PORT");

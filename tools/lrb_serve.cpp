@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "solver/registry.h"
@@ -105,9 +106,8 @@ void print_help() {
       "    stream.*  streaming sessions (docs/streaming.md#metrics):\n"
       "              sessions_open (gauge), sessions_opened,\n"
       "              sessions_closed, deltas_applied, deltas_rejected,\n"
-      "              plans_emitted, dup_frames_resent, forwarded_frames\n"
-      "              (counters), moves_per_plan, replan_latency_ms\n"
-      "              (histograms)\n";
+      "              plans_emitted, dup_frames_resent (counters),\n"
+      "              moves_per_plan, replan_latency_ms (histograms)\n";
 }
 
 }  // namespace
@@ -149,21 +149,27 @@ int main(int argc, char** argv) {
   const std::int64_t max_queue = flags.get_int("max-queue", 256);
   const std::int64_t max_conns = flags.get_int("max-conns", 256);
   const std::int64_t tick_delay = flags.get_int("tick-delay-ms", 0);
-  const std::int64_t cache_mb = flags.get_int("cache-mb", 0);
+  // The largest budget whose byte count fits in size_t.
+  constexpr auto kMaxCacheMb = static_cast<std::int64_t>(
+      std::numeric_limits<std::size_t>::max() >> 20);
+  const auto cache_mb = flags.get_count("cache-mb", 0);
   if (reactors < 1) return fail("--reactors must be >= 1");
   if (engine_workers < 1) return fail("--engine-workers must be >= 1");
   if (max_batch < 1) return fail("--max-batch must be >= 1");
   if (max_queue < 1) return fail("--max-queue must be >= 1");
   if (max_conns < 1) return fail("--max-conns must be >= 1");
   if (tick_delay < 0) return fail("--tick-delay-ms must be >= 0");
-  if (cache_mb < 0) return fail("--cache-mb must be >= 0");
+  if (!cache_mb || *cache_mb > kMaxCacheMb) {
+    return fail("--cache-mb must be a whole number in [0, " +
+                std::to_string(kMaxCacheMb) + "]");
+  }
   options.reactors = static_cast<std::size_t>(reactors);
   options.engine_workers = static_cast<std::size_t>(engine_workers);
   options.max_batch = static_cast<std::size_t>(max_batch);
   options.max_queue = static_cast<std::size_t>(max_queue);
   options.max_connections = static_cast<std::size_t>(max_conns);
   options.tick_delay_ms = static_cast<std::uint32_t>(tick_delay);
-  options.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
+  options.engine.cache_bytes = static_cast<std::size_t>(*cache_mb) << 20;
   if (options.unix_path.empty() && options.tcp_port < 0) {
     return fail("need at least one of --unix PATH / --tcp PORT");
   }

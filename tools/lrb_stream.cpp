@@ -7,8 +7,8 @@
 // (open, each delta frame, stats, close) against the serial replay
 // reference (stream::replay_serial_reference's solver on a mirrored
 // session). --reconnect-every forces mid-session reconnects, so frames
-// land on reactors that do not own the session and the cross-reactor
-// forwarding path is exercised under the same byte-compare.
+// land on reactors other than the one that opened the session and are
+// answered there, under the same byte-compare.
 //
 //   lrb_stream --smoke --check --reactors 4
 //   lrb_stream --sessions 8 --deltas 500 --frame 16 --check --cache-mb 8
@@ -28,7 +28,8 @@
 //   --imbalance R (1.5)    imbalance trigger ratio (0 disables)
 //   --every N (32)         delta-count trigger (0 disables)
 //   --depart-frac F (0.4)  departure fraction of the generated traces
-//   --reconnect-every N (0) drop the connection every N frames (forwarding)
+//   --reconnect-every N (0) drop the connection every N frames (the next
+//                          frame lands on another reactor)
 //   --seed N (1)           trace/corpus seed
 //   --check                byte-compare every ack vs the serial reference
 //   --record FILE          write session 0's delta log (.lrbd) and exit
@@ -51,6 +52,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -185,15 +187,10 @@ int main(int argc, char** argv) {
   if (!external_unix.empty()) {
     endpoint = svc::Endpoint::unix_socket(external_unix);
   } else if (external_tcp) {
-    const auto colon = external_tcp->rfind(':');
-    if (colon == std::string::npos) return fail("--tcp wants HOST:PORT");
-    int port = -1;
-    try {
-      port = std::stoi(external_tcp->substr(colon + 1));
-    } catch (...) {
-      return fail("bad --tcp port");
-    }
-    endpoint = svc::Endpoint::tcp(external_tcp->substr(0, colon), port);
+    std::string error;
+    const auto tcp = svc::parse_tcp_endpoint(*external_tcp, &error);
+    if (!tcp) return fail("--tcp: " + error);
+    endpoint = *tcp;
   } else {
     svc::ServerOptions options;
     std::ostringstream path;
@@ -210,9 +207,16 @@ int main(int argc, char** argv) {
     options.reactors = static_cast<std::size_t>(*reactors);
     options.engine_workers = static_cast<std::size_t>(*engine_workers);
     options.engine.workers = static_cast<std::size_t>(*workers);
-    options.cache_bytes =
-        static_cast<std::size_t>(flags.get_int("cache-mb", 0)) << 20;
-    cached = options.cache_bytes > 0;
+    // The largest budget whose byte count fits in size_t.
+    constexpr auto kMaxCacheMb = static_cast<std::int64_t>(
+        std::numeric_limits<std::size_t>::max() >> 20);
+    const auto cache_mb = flags.get_count("cache-mb", 0);
+    if (!cache_mb || *cache_mb > kMaxCacheMb) {
+      return fail("--cache-mb must be a whole number in [0, " +
+                  std::to_string(kMaxCacheMb) + "]");
+    }
+    options.engine.cache_bytes = static_cast<std::size_t>(*cache_mb) << 20;
+    cached = options.engine.cache_bytes > 0;
     server = std::make_unique<svc::Server>(std::move(options));
     std::string error;
     if (!server->start(&error)) return fail("server start: " + error);

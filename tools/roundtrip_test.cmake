@@ -85,6 +85,19 @@ expect_flag_rejected(deltas ${LRB_STREAM} --deltas -1)
 expect_flag_rejected(frame ${LRB_STREAM} --frame -1)
 expect_flag_rejected(frame ${LRB_STREAM} --frame 65537)
 
+# A client's TCP port must be a whole number in 1-65535 (an out-of-range
+# port used to wrap through uint16_t and connect somewhere else), and a
+# cache budget must be a whole number of MiB (-1 used to run with a
+# 2^64 - 2^20 byte budget, and x with the cache off).
+expect_flag_rejected(tcp ${LRB_LOAD} --tcp 127.0.0.1:110527)
+expect_flag_rejected(tcp ${LRB_STREAM} --tcp 127.0.0.1:70000)
+expect_flag_rejected(cache-mb
+  ${LRB_SERVE} --unix ${WORK_DIR}/flag_check.sock --cache-mb x)
+expect_flag_rejected(cache-mb
+  ${LRB_SERVE} --unix ${WORK_DIR}/flag_check.sock --cache-mb -1)
+expect_flag_rejected(cache-mb ${LRB_STREAM} --cache-mb -1 --smoke --check)
+expect_flag_rejected(cache-mb ${LRB_STREAM} --cache-mb x --smoke --check)
+
 # Unknown flags are typos, not no-ops.
 execute_process(
   COMMAND ${LRB_GEN} --jbos 10
