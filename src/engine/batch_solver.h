@@ -38,6 +38,13 @@
 
 namespace lrb::engine {
 
+/// Arena pre-sizing: instances within these bounds never reallocate in the
+/// scan hot path; larger ones grow the arena they run in. The server reads
+/// the same pair to decide which Solves a reactor answers inline
+/// (svc/server.h).
+inline constexpr std::size_t kWarmJobs = std::size_t{1} << 12;
+inline constexpr ProcId kWarmProcs = 64;
+
 /// The serial reference every concurrent path is checked against: the
 /// registry's serial entry point for `spec` (no pool, no arenas). Shared
 /// by lrb_batch --check, lrb_load --check and the tests.
@@ -109,15 +116,18 @@ class BatchSolver {
       std::span<const TickItem> items,
       std::vector<double>* latencies_ms = nullptr);
 
-  /// One item with per-item parameters, solved on the calling thread with
-  /// a leased arena: the streaming-session replan entry (svc's
-  /// SessionTable runs it inline on a reactor thread). It never touches
-  /// the pool, so it never runs another caller's queued items first. The
-  /// result is byte-identical to solve_items over a single-element span
-  /// (same determinism contract, same cache-awareness), and it counts one
-  /// batch, one engine.solve_latency_ms sample and, unless the cache
-  /// answers, one solved instance.
-  [[nodiscard]] RebalanceResult solve_item(const TickItem& item);
+  /// One item with per-item parameters, solved on the calling thread: the
+  /// entry a reactor uses for a session replan (svc's SessionTable) and
+  /// for a Solve it answers inline. It never touches the pool, so it never
+  /// runs another caller's queued items first. It solves in `arena` (a
+  /// cache miss included) and then never touches the engine's free list;
+  /// with nullptr it leases an arena from that list. The result is
+  /// byte-identical to solve_items over a single-element span (same
+  /// determinism contract, same cache-awareness), and it counts one batch,
+  /// one engine.solve_latency_ms sample and, unless the cache answers, one
+  /// solved instance.
+  [[nodiscard]] RebalanceResult solve_item(const TickItem& item,
+                                           Scratch* arena = nullptr);
 
   [[nodiscard]] bool cache_enabled() const noexcept {
     return cache_ != nullptr;
@@ -144,19 +154,19 @@ class BatchSolver {
     std::unique_ptr<Scratch> scratch_;
   };
 
-  /// Runs the item through the registry with the leased arenas, plus a
-  /// debug-build makespan recheck.
-  [[nodiscard]] RebalanceResult run_item(Scratch& scratch,
-                                         const TickItem& item);
-  /// Probe-or-solve for one canonicalized item; returns the result in
-  /// CANONICAL labels. Probes with WaitMode::kNoBlock — it runs on pool
-  /// workers, on submitters draining the pool and on solve_item callers,
-  /// and a thread parked on the single-flight cv would run nothing else
-  /// meanwhile — so a key another thread is already solving is solved
-  /// uncached here rather than waited for.
+  /// Runs the item through the registry in `arena`, or in a leased one
+  /// when it is null, plus a debug-build makespan recheck.
+  [[nodiscard]] RebalanceResult run_item(const TickItem& item, Scratch* arena);
+  /// Probe-or-solve for one canonicalized item (a miss solves in `arena`,
+  /// as run_item does); returns the result in CANONICAL labels. Probes
+  /// with WaitMode::kNoBlock — it runs on pool workers, on submitters
+  /// draining the pool and on solve_item callers, and a thread parked on
+  /// the single-flight cv would run nothing else meanwhile — so a key
+  /// another thread is already solving is solved uncached here rather
+  /// than waited for.
   [[nodiscard]] RebalanceResult solve_canonical(
       const TickItem& item, const cache::CanonicalInstance& canon,
-      const cache::Fingerprint& fp, std::string_view key);
+      const cache::Fingerprint& fp, std::string_view key, Scratch* arena);
   [[nodiscard]] std::vector<RebalanceResult> solve_items_cached(
       std::span<const TickItem> items, std::vector<double>* latencies_ms);
 

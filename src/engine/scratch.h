@@ -12,11 +12,12 @@
 namespace lrb::engine {
 
 /// One worker's arena, checked out of the BatchSolver's pool for the
-/// duration of a single solve. `warm` pre-sizes every buffer so that
-/// steady-state solving of instances within the warmed bounds performs no
-/// heap allocation in building the per-processor size order or in the
-/// M-PARTITION scan (see docs/performance.md for what the arena contract
-/// does and does not cover).
+/// duration of a single solve, or owned by a thread that passes it to
+/// BatchSolver::solve_item (a server reactor). `warm` pre-sizes every
+/// buffer so that steady-state solving of instances within the warmed
+/// bounds performs no heap allocation in building the per-processor size
+/// order or in the M-PARTITION scan (see docs/performance.md for what the
+/// arena contract does and does not cover).
 struct Scratch {
   MPartitionScratch m_partition;
   PtasScratch ptas;         ///< PTAS guess-scan arena

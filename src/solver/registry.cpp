@@ -42,6 +42,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = false,
         .uses_eps = false,
         .respects_k = true,
+        .runs_inline = true,
         .guarantee = Guarantee::kGreedy,
     },
     {
@@ -53,6 +54,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = false,
         .uses_eps = false,
         .respects_k = true,
+        .runs_inline = true,
         .guarantee = Guarantee::kPartition,
     },
     {
@@ -66,6 +68,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = false,
         .uses_eps = false,
         .respects_k = true,
+        .runs_inline = true,
         .guarantee = Guarantee::kGreedy,
     },
     {
@@ -77,6 +80,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = true,
         .uses_eps = true,
         .respects_k = false,
+        .runs_inline = false,
         .guarantee = Guarantee::kPtas,
     },
     {
@@ -88,6 +92,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = false,
         .uses_eps = false,
         .respects_k = false,
+        .runs_inline = true,
         .guarantee = Guarantee::kLpt,
     },
     {
@@ -100,6 +105,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = false,
         .uses_eps = false,
         .respects_k = true,
+        .runs_inline = false,
         .guarantee = Guarantee::kPartition,
     },
     {
@@ -111,6 +117,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = false,
         .uses_eps = false,
         .respects_k = true,
+        .runs_inline = true,
         .guarantee = Guarantee::kIdentity,
     },
     {
@@ -124,6 +131,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .budgeted = true,
         .uses_eps = false,
         .respects_k = false,
+        .runs_inline = false,
         .guarantee = Guarantee::kCostPartition,
     },
 };

@@ -58,6 +58,10 @@ struct BackendDescriptor {
   bool budgeted = false;   ///< honors SolverParams::budget
   bool uses_eps = false;   ///< honors SolverParams::eps
   bool respects_k = true;  ///< honors the k-move bound (LPT reassigns all)
+  /// Cheap enough to answer on the reactor that decoded the Solve: an
+  /// O(n log n)-class solve, about 1-2 ms at 4096 jobs and 64 processors
+  /// (svc/server.h). False for the scans whose time grows past that.
+  bool runs_inline = false;
 
   /// What its results are certified against (check/certify).
   Guarantee guarantee = Guarantee::kGreedy;

@@ -1,11 +1,15 @@
 #include "svc/session_client.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <optional>
 #include <utility>
 
 #include "stream/replay.h"
 #include "stream/session.h"
+#include "util/rng.h"
 
 namespace lrb::svc {
 
@@ -17,6 +21,15 @@ std::string describe(const ErrorReply& server_error) {
 }
 
 }  // namespace
+
+std::uint64_t run_session_id(std::uint64_t seed, std::size_t index) {
+  static const std::uint64_t nonce =
+      (static_cast<std::uint64_t>(getpid()) << 32) ^
+      static_cast<std::uint64_t>(
+          std::chrono::steady_clock::now().time_since_epoch().count());
+  std::uint64_t state = seed ^ nonce;
+  return splitmix64(state) + index;
+}
 
 // ---------------------------------------------------------------------------
 // run_session_stream: stream a delta log, mirroring the server reply by

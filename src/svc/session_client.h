@@ -60,6 +60,14 @@ struct StreamRunResult {
   std::uint64_t final_digest = 0;
 };
 
+/// The id of the `index`-th session of one client run, from `seed` and a
+/// nonce drawn once per process (its pid and a clock reading). A server
+/// keeps a closed id as a tombstone (docs/streaming.md), so a rerun with
+/// the same seed against the same server needs ids of its own. Distinct
+/// indexes get distinct ids within a run.
+[[nodiscard]] std::uint64_t run_session_id(std::uint64_t seed,
+                                           std::size_t index);
+
 /// Opens a session for `log.initial` + `log.trigger`, streams `log.deltas`
 /// in frames of `frame_size`, fetches stats, and closes. With `check` on,
 /// every reply payload must be byte-identical to the reply a serial replay

@@ -55,7 +55,7 @@ SessionTable::Record* SessionTable::find(std::uint64_t id) {
 }
 
 MsgType SessionTable::handle(MsgType type, std::string_view payload,
-                             std::string& reply) {
+                             std::string& reply, engine::Scratch& arena) {
   reply.clear();
   if (payload.size() < 8) {
     return bad_request("session payload shorter than the session id", reply);
@@ -79,7 +79,7 @@ MsgType SessionTable::handle(MsgType type, std::string_view payload,
   }
   switch (type) {
     case MsgType::kSessionDelta:
-      return delta(*record->live, payload, reply);
+      return delta(*record->live, payload, reply, arena);
     case MsgType::kSessionStats: {
       SessionStatsReply stats;
       stats.session_id = id;
@@ -152,9 +152,11 @@ MsgType SessionTable::reopen(Record& record, std::string_view payload,
   }
   // A retried SessionOpen whose ack was lost is answered byte-identically,
   // but only while the session is still pristine AND the payload is the
-  // same bytes; anything else is a genuine id collision.
+  // same bytes; anything else is a genuine id collision. Pristine means no
+  // delta frame answered yet: an empty frame leaves last_seq at 0 but
+  // replaces the stored reply with its delta ack.
   const Live& live = *record.live;
-  if (live.last_seq == 0 &&
+  if (live.last_reply_type == MsgType::kSessionOpenOk &&
       live.open_payload_digest == payload_digest(payload)) {
     m_dup_frames_resent_.add(1);
     reply = live.last_reply_payload;
@@ -165,7 +167,7 @@ MsgType SessionTable::reopen(Record& record, std::string_view payload,
 }
 
 MsgType SessionTable::delta(Live& live, std::string_view payload,
-                            std::string& reply) {
+                            std::string& reply, engine::Scratch& arena) {
   std::string error;
   auto request = decode_session_delta_request(payload, &error);
   if (!request) return bad_request(error, reply);
@@ -188,14 +190,14 @@ MsgType SessionTable::delta(Live& live, std::string_view payload,
                   reply);
   }
 
-  const auto solve = [this](const Instance& instance, std::int64_t k,
-                            const solver::SolverSpec& spec) {
+  const auto solve = [this, &arena](const Instance& instance, std::int64_t k,
+                                    const solver::SolverSpec& spec) {
     engine::BatchSolver::TickItem item;
     item.instance = &instance;
     item.k = k;
     item.spec = spec;
     const auto started = std::chrono::steady_clock::now();
-    auto result = solver_.solve_item(item);
+    auto result = solver_.solve_item(item, &arena);
     m_replan_latency_ms_.record(std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - started)
                                     .count());

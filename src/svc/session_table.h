@@ -58,9 +58,11 @@ class SessionTable {
   /// Answers one SessionOpen, SessionDelta, SessionStats or SessionClose
   /// frame on the calling thread: replaces `reply` with the reply payload
   /// and returns its type (kError, with an encoded error payload, for
-  /// every refusal). Safe to call from any number of threads at once.
+  /// every refusal). Replans solve in `arena`, the calling thread's own
+  /// (BatchSolver::solve_item). Safe to call from any number of threads
+  /// at once, each with its own arena.
   [[nodiscard]] MsgType handle(MsgType type, std::string_view payload,
-                               std::string& reply);
+                               std::string& reply, engine::Scratch& arena);
 
  private:
   /// An open session's state, released at close. `last_reply_*` hold the
@@ -73,6 +75,7 @@ class SessionTable {
     std::uint64_t last_seq = 0;             ///< highest delta seq consumed
     std::uint64_t last_frame_first_seq = 0;
     std::uint32_t last_frame_count = 0;
+    /// kSessionOpenOk until the first delta frame is answered.
     MsgType last_reply_type = MsgType::kSessionOpenOk;
     std::string last_reply_payload;
   };
@@ -88,10 +91,12 @@ class SessionTable {
   MsgType open(std::uint64_t id, std::string_view payload,
                std::string& reply);
   /// SessionOpen for an id that has a record: a resend of a pristine
-  /// session's open gets its stored ack, anything else SessionExists.
+  /// session's open (no delta frame answered yet, empty ones included)
+  /// gets its stored ack, anything else SessionExists.
   MsgType reopen(Record& record, std::string_view payload,
                  std::string& reply);
-  MsgType delta(Live& live, std::string_view payload, std::string& reply);
+  MsgType delta(Live& live, std::string_view payload, std::string& reply,
+                engine::Scratch& arena);
   MsgType close(Record& record, std::uint64_t id, std::string& reply);
   MsgType bad_request(std::string_view text, std::string& reply);
   MsgType overloaded(std::string& reply);

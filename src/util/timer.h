@@ -1,4 +1,4 @@
-// Monotonic wall-clock stopwatch for the experiment harness.
+// Monotonic wall-clock stopwatch (steady_clock).
 
 #pragma once
 

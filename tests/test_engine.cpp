@@ -240,6 +240,57 @@ TEST(BatchSolver, SolveOneMatchesSolveAndFillsLatencies) {
   }
 }
 
+TEST(BatchSolver, SolveItemWithACallerArenaMatchesTheLeasedPath) {
+  // One caller arena serves every backend and instance in turn, as a
+  // reactor's does, so a solve that read what an earlier one left in it
+  // would part from the leased path and the reference. Each path has its
+  // own solver (and cache), so with the cache on both take the miss.
+  const auto corpus = family_corpus();
+  for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{1} << 20}) {
+    obs::Registry arena_metrics;
+    obs::Registry leased_metrics;
+    BatchOptions options;
+    options.workers = 1;
+    options.cache_bytes = cache_bytes;
+    options.metrics = &arena_metrics;
+    BatchSolver with_arena(options);
+    options.metrics = &leased_metrics;
+    BatchSolver leased(options);
+    engine::Scratch arena;
+    arena.warm(engine::kWarmJobs, engine::kWarmProcs);
+    for (const auto& backend : solver::all_backends()) {
+      for (const auto& c : corpus) {
+        // The costed scans run on the first 10 jobs, to keep this quick.
+        Instance instance = c.instance;
+        if (backend.costed && instance.num_jobs() > 10) {
+          instance.sizes.resize(10);
+          instance.move_costs.resize(10);
+          instance.initial.resize(10);
+        }
+        BatchSolver::TickItem item;
+        item.instance = &instance;
+        item.k = c.k;
+        item.spec = solver::SolverSpec(backend.id, {.budget = 8, .eps = 0.5});
+        const RebalanceResult want =
+            cache_bytes == 0
+                ? engine::solve_serial_reference(item.spec, instance, c.k)
+                : engine::cached_serial_reference(item.spec, instance, c.k);
+        const std::string label = std::string(backend.name) + " " + c.name +
+                                  " cache=" + std::to_string(cache_bytes);
+        expect_same(with_arena.solve_item(item, &arena), want,
+                    label + " arena");
+        expect_same(leased.solve_item(item), want, label + " leased");
+        if (cache_bytes > 0) {
+          expect_same(with_arena.solve_item(item, &arena), want,
+                      label + " arena warm");
+        }
+      }
+    }
+    EXPECT_EQ(arena_metrics.counter("engine.instances_solved").value(),
+              leased_metrics.counter("engine.instances_solved").value());
+  }
+}
+
 TEST(BatchSolver, EmptyBatchIsFine) {
   BatchSolver solver;
   const auto results = solver.solve({}, {});

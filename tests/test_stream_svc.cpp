@@ -245,8 +245,7 @@ TEST(SessionService, OneSessionDrivenFromEveryReactorAppliesEachFrameOnce) {
 
   clients.clear();
   server.drain();
-  // Counted once drained: the acceptor counts a connection after handing
-  // it to its reactor, which may already have answered the Ping.
+  // Every connection was dealt to its own reactor.
   for (std::size_t r = 0; r < kReactors; ++r) {
     EXPECT_EQ(server.registry()
                   .counter("svc.reactor" + std::to_string(r) +
@@ -373,6 +372,26 @@ TEST(SessionService, DuplicateOpenIsIdempotentOnlyWhenPristine) {
   const RawReply stats = raw_call(*client, MsgType::kSessionStats, 4,
                                   encode_session_id_payload(7));
   EXPECT_EQ(stats.type, MsgType::kSessionStatsOk);
+}
+
+TEST(SessionService, ReopenAfterAnEmptyDeltaFrameIsRefused) {
+  StreamServer server(1);
+  std::string error;
+  auto client = Client::connect(Endpoint::unix_socket(server.path()), &error);
+  ASSERT_TRUE(client) << error;
+
+  const std::string payload = encode_session_open_request(sample_open(8));
+  ASSERT_EQ(raw_call(*client, MsgType::kSessionOpen, 1, payload).type,
+            MsgType::kSessionOpenOk);
+  // A frame with no deltas consumes no sequence number, but it is
+  // answered, so the session is no longer pristine.
+  const RawReply empty =
+      raw_call(*client, MsgType::kSessionDelta, 2,
+               encode_session_delta_request(arrivals_frame(8, 1, 100, 0)));
+  ASSERT_EQ(empty.type, MsgType::kSessionDeltaOk);
+  // The same open bytes again are an id collision, as after any frame.
+  const RawReply reopen = raw_call(*client, MsgType::kSessionOpen, 3, payload);
+  EXPECT_EQ(error_code_of(reopen), ErrorCode::kSessionExists);
 }
 
 TEST(SessionService, UnknownSessionAndBadSequenceKeepTheStreamOpen) {

@@ -37,7 +37,9 @@
 //                          best-of, ptas, lpt, local-search
 //   --k-frac F (0.25)      move budget as a fraction of num_jobs
 //   --deadline-ms N (0)    per-request deadline sent to the server; 0 = none
-//   --seed N (1)           corpus seed
+//   --seed N (1)           corpus seed (session mode: session ids come from
+//                          it and a per-run nonce, so a rerun against the
+//                          same server does not meet the last run's ids)
 //   --repeat N (0)         repeated-instance preset: draw every request from a
 //                          pool of N unique instances instead of a fresh one
 //                          per request (the workload a --cache-mb server turns
@@ -467,7 +469,7 @@ int main(int argc, char** argv) {
       session_threads.emplace_back([&, c] {
         svc::StreamRunOptions run;
         run.endpoint = config.endpoint;
-        run.session_id = config.seed * 1000003 + c + 1;
+        run.session_id = svc::run_session_id(config.seed, c);
         run.frame_size = static_cast<std::size_t>(*frame);
         run.reconnect_every = static_cast<std::size_t>(*reconnect_every);
         run.check = config.check;

@@ -30,7 +30,9 @@
 //   --depart-frac F (0.4)  departure fraction of the generated traces
 //   --reconnect-every N (0) drop the connection every N frames (the next
 //                          frame lands on another reactor)
-//   --seed N (1)           trace/corpus seed
+//   --seed N (1)           trace/corpus seed (session ids come from it and
+//                          a per-run nonce, so a rerun against the same
+//                          server does not meet the last run's ids)
 //   --check                byte-compare every ack vs the serial reference
 //   --record FILE          write session 0's delta log (.lrbd) and exit
 //   --replay FILE          stream FILE's delta log as a single session
@@ -231,7 +233,7 @@ int main(int argc, char** argv) {
     threads.emplace_back([&, s] {
       svc::StreamRunOptions run;
       run.endpoint = endpoint;
-      run.session_id = seed * 1000003 + s + 1;
+      run.session_id = svc::run_session_id(seed, s);
       run.frame_size = frame;
       run.reconnect_every = reconnect_every;
       run.check = check;
