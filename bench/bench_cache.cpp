@@ -187,8 +187,10 @@ ProfileResult run_profile(const Workload& w, int reps) {
 
   // One pass each before timing: warms the uncached solver's scratch
   // arenas and fills the cache. The cached side's first pass IS the cold
-  // number — intra-tick dedup already applies there, which is part of the
-  // repeated-instance serving path being measured.
+  // number: it misses once per unique instance, and every other request
+  // for that instance — in the same tick or a later one — hits or waits
+  // for that one solve through the cache's single-flight, which is part
+  // of the repeated-instance serving path being measured.
   (void)run_pass(uncached, w);
   const double cold_seconds = run_pass(cached, w);
 
@@ -227,7 +229,7 @@ void print_profile(const ProfileResult& p) {
             << "  uncached:    " << p.uncached_best << " s  ("
             << requests / p.uncached_best << " req/s)\n"
             << "  cached cold: " << p.cold_seconds
-            << " s  (first pass, intra-tick dedup only)\n"
+            << " s  (first pass: one solve per unique, the rest wait or hit)\n"
             << "  cached warm: " << p.cached_best << " s  ("
             << requests / p.cached_best << " req/s)\n"
             << "  speedup: warm " << p.speedup_warm << "x, cold "

@@ -10,12 +10,18 @@
 // Concurrency: N mutex-guarded shards (fingerprint.hi selects the shard);
 // a lookup touches exactly one shard mutex. Concurrent identical misses
 // are single-flighted: the first caller becomes the leader and solves, the
-// rest (under WaitMode::kBlock) block on the shard's condition variable
-// and receive the leader's published result directly — a batch of
-// identical requests racing in from many connections solves exactly once.
-// Callers that should not park — pool workers and the submitters that
-// help drain a ThreadPool, like the engine's — probe with
-// WaitMode::kNoBlock and solve uncached instead of waiting; see WaitMode.
+// rest (under the default WaitMode::kBlock) block on the shard's condition
+// variable and receive the leader's published result directly — identical
+// requests racing in from many connections, ticks or reactors solve
+// exactly once. The engine probes this way on every path
+// (engine/batch_solver.h).
+//
+// Why a blocking probe cannot deadlock: between lookup_or_begin and its
+// publish() or cancel(), a leader holds no lock and waits for nothing; it
+// only runs its own solve, and solves never touch a ThreadPool. So every
+// waiter waits for a thread that is running, never for one that waits in
+// turn. A caller whose leader could wait on something before it publishes
+// (a pool task, another key) must probe with WaitMode::kNoBlock instead.
 //
 // Capacity: max_bytes is divided evenly across shards; each shard evicts
 // from its own LRU tail while over budget. Accounted bytes per entry =
@@ -79,13 +85,13 @@ class SolutionCache {
   /// How a probe treats an identical key already being solved by another
   /// thread.
   enum class WaitMode {
-    /// Block on the shard cv until that leader publishes or cancels.
+    /// Block on the shard cv until that leader publishes or cancels
+    /// (counted in cache.single_flight_waits).
     kBlock,
     /// Never block: report a plain miss with no leadership, so the caller
-    /// solves uncached (the leader still publishes for future probes).
-    /// Meant for callers running on — or help-draining tasks of — a
-    /// ThreadPool: a thread parked on the shard cv runs nothing else
-    /// meanwhile, so the tasks queued behind it wait for this key too.
+    /// solves uncached (counted in cache.single_flight_bypass; the leader
+    /// still publishes for future probes). For callers that break the
+    /// invariant above; the engine does not.
     kNoBlock,
   };
 

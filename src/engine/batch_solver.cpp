@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
+
+#include "cache/canonical.h"
+#include "util/timer.h"
 
 namespace lrb::engine {
 
@@ -96,145 +96,60 @@ RebalanceResult BatchSolver::run_item(const TickItem& item, Scratch* arena) {
   return result;
 }
 
-RebalanceResult BatchSolver::solve_canonical(
-    const TickItem& item, const cache::CanonicalInstance& canon,
-    const cache::Fingerprint& fp, std::string_view key, Scratch* arena) {
-  // kNoBlock: this runs on pool workers (solve_items phase 2), on
-  // submitters draining the pool, and on solve_item's caller (a reactor
-  // replanning a session). Any of them parked on the single-flight cv
-  // would run nothing else meanwhile, holding up every item queued behind
-  // it or every connection of its reactor. A duplicate in-flight key
-  // therefore solves uncached instead of waiting.
-  auto probe = cache_->lookup_or_begin(
-      fp, key, cache::SolutionCache::WaitMode::kNoBlock);
-  if (probe.hit) return std::move(probe.result);
-
-  TickItem canonical_item = item;
-  canonical_item.instance = &canon.instance;
-  canonical_item.spec.params = solver::normalized_params(item.spec);
+RebalanceResult BatchSolver::solve_one(const TickItem& item, Scratch* arena,
+                                       double* latency_ms) {
+  const Timer timer;
   RebalanceResult result;
-  try {
-    result = run_item(canonical_item, arena);
-  } catch (...) {
-    // Never strand single-flight waiters: hand leadership to one of them.
-    if (probe.leader) cache_->cancel(fp, key);
-    throw;
+  if (cache_ == nullptr) {
+    result = run_item(item, arena);
+    solved_counter_.add(1);
+  } else {
+    const cache::CanonicalInstance canon = cache::canonicalize(*item.instance);
+    const std::string key =
+        cache::encode_cache_key(canon.instance, item.spec, item.k);
+    const cache::Fingerprint fp = cache::fingerprint(key);
+    // The blocking default: an identical key another thread is solving is
+    // waited for, not solved again. That leader is running its solve and
+    // waits for nothing (solution_cache.h), and this thread holds no arena
+    // while it waits: run_item leases one only on a miss.
+    auto probe = cache_->lookup_or_begin(fp, key);
+    if (!probe.hit) {
+      TickItem canonical_item = item;
+      canonical_item.instance = &canon.instance;
+      canonical_item.spec.params = solver::normalized_params(item.spec);
+      try {
+        probe.result = run_item(canonical_item, arena);
+      } catch (...) {
+        // Never strand single-flight waiters: hand leadership to one.
+        if (probe.leader) cache_->cancel(fp, key);
+        throw;
+      }
+      solved_counter_.add(1);
+      if (probe.leader) cache_->publish(fp, key, probe.result);
+    }
+    result = cache::map_to_original(canon, probe.result);
   }
-  solved_counter_.add(1);
-  if (probe.leader) cache_->publish(fp, key, result);
+  const double ms = timer.millis();
+  solve_latency_ms_.record(ms);
+  if (latency_ms != nullptr) *latency_ms = ms;
   return result;
 }
 
 RebalanceResult BatchSolver::solve_item(const TickItem& item,
                                         Scratch* arena) {
-  using Clock = std::chrono::steady_clock;
   batch_counter_.add(1);
-  const auto begin = Clock::now();
-  const auto record_latency = [&] {
-    solve_latency_ms_.record(
-        std::chrono::duration<double, std::milli>(Clock::now() - begin)
-            .count());
-  };
-  if (cache_ == nullptr) {
-    RebalanceResult result = run_item(item, arena);
-    solved_counter_.add(1);
-    record_latency();
-    return result;
-  }
-  // solve_items_cached for one item: no batch to dedup against.
-  const cache::CanonicalInstance canon = cache::canonicalize(*item.instance);
-  const std::string key =
-      cache::encode_cache_key(canon.instance, item.spec, item.k);
-  const RebalanceResult canonical =
-      solve_canonical(item, canon, cache::fingerprint(key), key, arena);
-  record_latency();
-  return cache::map_to_original(canon, canonical);
-}
-
-std::vector<RebalanceResult> BatchSolver::solve_items_cached(
-    std::span<const TickItem> items, std::vector<double>* latencies_ms) {
-  using Clock = std::chrono::steady_clock;
-  const std::size_t n = items.size();
-  std::vector<RebalanceResult> results(n);
-  if (latencies_ms != nullptr) latencies_ms->assign(n, 0.0);
-
-  // Phase 1: canonicalize every item and derive its cache key.
-  std::vector<cache::CanonicalInstance> canons(n);
-  std::vector<std::string> keys(n);
-  std::vector<cache::Fingerprint> fps(n);
-  std::vector<double> canon_ms(n, 0.0);
-  parallel_for(pool_, 0, n, [&](std::size_t i) {
-    const auto begin = Clock::now();
-    const TickItem& item = items[i];
-    canons[i] = cache::canonicalize(*item.instance);
-    keys[i] = cache::encode_cache_key(canons[i].instance, item.spec, item.k);
-    fps[i] = cache::fingerprint(keys[i]);
-    canon_ms[i] =
-        std::chrono::duration<double, std::milli>(Clock::now() - begin)
-            .count();
-  });
-
-  // Batch dedup: items with byte-identical keys share one solve. rep[i] is
-  // the first item with item i's key; only representatives hit the cache.
-  std::vector<std::size_t> rep(n);
-  std::vector<std::size_t> uniques;
-  {
-    std::unordered_map<std::string_view, std::size_t> first;
-    first.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] = first.emplace(keys[i], i);
-      rep[i] = it->second;
-      if (inserted) uniques.push_back(i);
-    }
-  }
-
-  // Phase 2: probe-or-solve each representative (canonical labels). The
-  // solve time is recorded into the histogram here, once per
-  // representative — duplicates must not re-record it below, or batches
-  // with many duplicates inflate engine.solve_latency_ms.
-  std::vector<RebalanceResult> canonical_results(n);
-  std::vector<double> solve_ms(n, 0.0);
-  parallel_for(pool_, 0, uniques.size(), [&](std::size_t u) {
-    const std::size_t i = uniques[u];
-    const auto begin = Clock::now();
-    canonical_results[i] = solve_canonical(items[i], canons[i], fps[i],
-                                           keys[i], nullptr);
-    solve_ms[i] =
-        std::chrono::duration<double, std::milli>(Clock::now() - begin)
-            .count();
-    solve_latency_ms_.record(canon_ms[i] + solve_ms[i]);
-  });
-
-  // Phase 3: fan out through each item's own recorded permutation. A
-  // duplicate's own cost is just its canonicalization; the shared solve
-  // was already attributed to the representative.
-  parallel_for(pool_, 0, n, [&](std::size_t i) {
-    results[i] = cache::map_to_original(canons[i], canonical_results[rep[i]]);
-    const double ms =
-        rep[i] == i ? canon_ms[i] + solve_ms[i] : canon_ms[i];
-    if (rep[i] != i) solve_latency_ms_.record(ms);
-    if (latencies_ms != nullptr) (*latencies_ms)[i] = ms;
-  });
-  return results;
+  return solve_one(item, arena, nullptr);
 }
 
 std::vector<RebalanceResult> BatchSolver::solve_items(
     std::span<const TickItem> items, std::vector<double>* latencies_ms) {
   batch_counter_.add(1);
-  if (cache_ != nullptr) return solve_items_cached(items, latencies_ms);
   std::vector<RebalanceResult> results(items.size());
-  if (latencies_ms != nullptr) {
-    latencies_ms->assign(items.size(), 0.0);
-  }
+  if (latencies_ms != nullptr) latencies_ms->assign(items.size(), 0.0);
   parallel_for(pool_, 0, items.size(), [&](std::size_t i) {
-    const auto begin = std::chrono::steady_clock::now();
-    results[i] = run_item(items[i], nullptr);
-    const auto end = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - begin).count();
-    solved_counter_.add(1);
-    solve_latency_ms_.record(ms);
-    if (latencies_ms != nullptr) (*latencies_ms)[i] = ms;
+    results[i] = solve_one(items[i], nullptr,
+                           latencies_ms != nullptr ? &(*latencies_ms)[i]
+                                                   : nullptr);
   });
   return results;
 }

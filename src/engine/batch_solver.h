@@ -24,10 +24,8 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string_view>
 #include <vector>
 
-#include "cache/canonical.h"
 #include "cache/solution_cache.h"
 #include "core/assignment.h"
 #include "core/instance.h"
@@ -91,10 +89,9 @@ class BatchSolver {
   /// Solves instance i with move budget ks[i] (ks.size() must equal
   /// instances.size()). Slot i of the returned vector is instance i's
   /// result. When `latencies_ms` is non-null it is resized and filled with
-  /// each instance's wall-clock solve latency in milliseconds. With the
-  /// cache enabled, items deduplicated within the batch report only their
-  /// own canonicalization time; the shared solve is attributed to the
-  /// first item with that key.
+  /// each instance's own wall-clock latency in milliseconds, the same
+  /// sample engine.solve_latency_ms records: with the cache enabled, that
+  /// is canonicalize, probe, wait for or run the solve, and map back.
   [[nodiscard]] std::vector<RebalanceResult> solve(
       const std::vector<Instance>& instances,
       const std::vector<std::int64_t>& ks,
@@ -111,7 +108,10 @@ class BatchSolver {
   /// Same determinism contract over borrowed instances with per-item
   /// parameters: the tick entry point used by the serving layer
   /// (src/svc), which coalesces in-flight requests without copying their
-  /// instances. All instance pointers must be non-null.
+  /// instances. All instance pointers must be non-null. One parallel_for
+  /// over solve_item's per-item path; with the cache enabled, identical
+  /// keys — in one tick, in concurrent ticks, or beside a solve_item
+  /// caller — share one solve through the cache's single-flight.
   [[nodiscard]] std::vector<RebalanceResult> solve_items(
       std::span<const TickItem> items,
       std::vector<double>* latencies_ms = nullptr);
@@ -121,11 +121,12 @@ class BatchSolver {
   /// for a Solve it answers inline. It never touches the pool, so it never
   /// runs another caller's queued items first. It solves in `arena` (a
   /// cache miss included) and then never touches the engine's free list;
-  /// with nullptr it leases an arena from that list. The result is
-  /// byte-identical to solve_items over a single-element span (same
-  /// determinism contract, same cache-awareness), and it counts one batch,
-  /// one engine.solve_latency_ms sample and, unless the cache answers, one
-  /// solved instance.
+  /// with nullptr it leases an arena from that list, on a cache miss only.
+  /// With the cache enabled, an identical key that another thread is
+  /// solving is waited for, not solved again. The result is byte-identical
+  /// to solve_items over a single-element span (the same per-item path),
+  /// and it counts one batch, one engine.solve_latency_ms sample and,
+  /// unless the cache answers, one solved instance.
   [[nodiscard]] RebalanceResult solve_item(const TickItem& item,
                                            Scratch* arena = nullptr);
 
@@ -157,18 +158,13 @@ class BatchSolver {
   /// Runs the item through the registry in `arena`, or in a leased one
   /// when it is null, plus a debug-build makespan recheck.
   [[nodiscard]] RebalanceResult run_item(const TickItem& item, Scratch* arena);
-  /// Probe-or-solve for one canonicalized item (a miss solves in `arena`,
-  /// as run_item does); returns the result in CANONICAL labels. Probes
-  /// with WaitMode::kNoBlock — it runs on pool workers, on submitters
-  /// draining the pool and on solve_item callers, and a thread parked on
-  /// the single-flight cv would run nothing else meanwhile — so a key
-  /// another thread is already solving is solved uncached here rather
-  /// than waited for.
-  [[nodiscard]] RebalanceResult solve_canonical(
-      const TickItem& item, const cache::CanonicalInstance& canon,
-      const cache::Fingerprint& fp, std::string_view key, Scratch* arena);
-  [[nodiscard]] std::vector<RebalanceResult> solve_items_cached(
-      std::span<const TickItem> items, std::vector<double>* latencies_ms);
+  /// The one way the engine solves an item, on the calling thread. With
+  /// the cache enabled: canonicalize, probe (blocking on an identical
+  /// in-flight key), solve a miss through run_item, publish, and map
+  /// back. Records the item's latency in engine.solve_latency_ms and,
+  /// when `latency_ms` is non-null, there too.
+  [[nodiscard]] RebalanceResult solve_one(const TickItem& item,
+                                          Scratch* arena, double* latency_ms);
 
   BatchOptions options_;
   ThreadPool pool_;

@@ -23,6 +23,16 @@ namespace lrb::svc {
 
 namespace {
 
+/// Coalescing cap: at most this many Solves per engine tick.
+constexpr std::size_t kMaxTickBatch = 64;
+
+/// A connection whose write buffer holds more than this many bytes of
+/// replies is not read again until the buffer is flushed (it is emptied
+/// only once fully sent). Well above what a brief stall of a reading
+/// client leaves behind, so only a client that pipelines without reading
+/// meets it; TCP flow control then stops its sends.
+constexpr std::size_t kMaxReplyBacklog = std::size_t{4} << 20;
+
 bool set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -89,6 +99,7 @@ Server::Server(ServerOptions options)
       m_bad_requests_(options_.metrics->counter("svc.bad_requests")),
       m_ticks_(options_.metrics->counter("svc.engine_ticks")),
       m_dropped_replies_(options_.metrics->counter("svc.dropped_replies")),
+      m_reads_paused_(options_.metrics->counter("svc.reads_paused")),
       m_request_latency_ms_(
           options_.metrics->histogram("svc.request_latency_ms")),
       m_tick_batch_(options_.metrics->histogram("svc.tick_batch_size")) {}
@@ -358,11 +369,7 @@ void Server::run() {
       conn_count_.fetch_sub(1, std::memory_order_relaxed);
     }
     reactor->incoming.clear();
-    for (const SolveOutcome& outcome : reactor->results) {
-      (void)outcome;
-      m_dropped_replies_.add(1);
-      results_inflight_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    m_dropped_replies_.add(reactor->results.size());
     reactor->results.clear();
   }
 }
@@ -417,24 +424,6 @@ void Server::handle_solve(Reactor& reactor, Connection& conn,
                 "server is draining");
     return;
   }
-  // Only an idle reactor's Solve may run inline. With none of the
-  // reactor's Solves on the engine, no inline reply can overtake an engine
-  // reply on any of its connections; with no other Solve read in this poll
-  // pass, a pipelined backlog or a burst from several connections is left
-  // to ticks that spread it over the pool.
-  const bool idle =
-      reactor.engine_outstanding == 0 && reactor.ready_solves == 1;
-  if (!idle) {
-    // Fast-path shed before paying for the decode. Advisory only: the
-    // authoritative check is re-done under the same lock as the push.
-    std::lock_guard lock(queue_mutex_);
-    if (pending_.size() >= options_.max_queue) {
-      m_shed_overloaded_.add(1);
-      queue_error(reactor, conn, header.request_id, ErrorCode::kOverloaded,
-                  "solve queue at capacity");
-      return;
-    }
-  }
   std::string error;
   auto request = decode_solve_request(payload, &error);
   if (!request) {
@@ -443,7 +432,13 @@ void Server::handle_solve(Reactor& reactor, Connection& conn,
                 error);
     return;
   }
-  if (idle && cheap(*request)) {
+  // Only an idle reactor's Solve may run inline. With none of the
+  // reactor's Solves on the engine, no inline reply can overtake an engine
+  // reply on any of its connections; with no other Solve read in this poll
+  // pass, a pipelined backlog or a burst from several connections is left
+  // to ticks that spread it over the pool.
+  if (reactor.engine_outstanding == 0 && reactor.ready_solves == 1 &&
+      cheap(*request)) {
     // Run to completion here, in this reactor's arena: no queue, no tick,
     // no deadline check (it is dispatched as it is decoded), and the reply
     // is in the write buffer before this reactor polls again.
@@ -474,11 +469,13 @@ void Server::handle_solve(Reactor& reactor, Connection& conn,
   pending.request = std::move(*request);
   bool admitted = false;
   {
-    // Check-and-push atomically: N reactors racing through the lock gap
-    // above (while decoding) must not overshoot max_queue.
+    // The one admission decision: check and push atomically, so reactors
+    // racing here never overshoot max_queue, and raise the reactor's count
+    // before any engine worker can pop the Solve.
     std::lock_guard lock(queue_mutex_);
     if (pending_.size() < options_.max_queue) {
       pending_.push_back(std::move(pending));
+      reactor.engine_outstanding.fetch_add(1);
       admitted = true;
     }
   }
@@ -488,7 +485,6 @@ void Server::handle_solve(Reactor& reactor, Connection& conn,
                 "solve queue at capacity");
     return;
   }
-  ++reactor.engine_outstanding;
   queue_cv_.notify_one();
 }
 
@@ -647,7 +643,6 @@ void Server::drain_results(Reactor& reactor) {
     ready.swap(reactor.results);
   }
   if (ready.empty()) return;
-  reactor.engine_outstanding -= ready.size();
   for (SolveOutcome& outcome : ready) {
     const auto it = reactor.connections.find(outcome.fd);
     if (it == reactor.connections.end() ||
@@ -662,25 +657,25 @@ void Server::drain_results(Reactor& reactor) {
         m_request_latency_ms_.record(outcome.request_latency_ms);
       }
     }
-    // Only decrement once the reply sits in a write buffer (or is counted
-    // dropped) — this is what keeps the DrainOk ack ordered after every
-    // reply on its connection, on every reactor.
-    results_inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  if (draining_.load(std::memory_order_acquire) &&
-      results_inflight_.load(std::memory_order_acquire) == 0) {
-    // Other reactors may be waiting on this inflight count to ack drains.
+  // Lowered only now that every reply sits in a write buffer (or is
+  // counted dropped). A draining reactor waiting for the engine to go idle
+  // needs a wake once this count reaches zero.
+  if (reactor.engine_outstanding.fetch_sub(ready.size()) == ready.size() &&
+      draining_.load()) {
     wake_all_reactors();
   }
 }
 
+bool Server::engine_idle() const {
+  return std::all_of(reactors_.begin(), reactors_.end(),
+                     [](const std::unique_ptr<Reactor>& reactor) {
+                       return reactor->engine_outstanding == 0;
+                     });
+}
+
 void Server::maybe_finish_drain(Reactor& reactor) {
-  if (!draining_.load(std::memory_order_acquire)) return;
-  {
-    std::lock_guard lock(queue_mutex_);
-    if (!pending_.empty() || ticking_ != 0) return;
-  }
-  if (results_inflight_.load(std::memory_order_acquire) != 0) return;
+  if (!draining_.load(std::memory_order_acquire) || !engine_idle()) return;
   // Every admitted request has been answered; acknowledge the drain(s).
   // The ack rides the same FIFO write buffer, so it is ordered after every
   // in-flight reply on that connection.
@@ -694,15 +689,12 @@ void Server::maybe_finish_drain(Reactor& reactor) {
 
 bool Server::reactor_drained(Reactor& reactor) {
   if (aborting_.load(std::memory_order_relaxed)) return true;
-  if (!draining_.load(std::memory_order_acquire)) return false;
-  {
-    std::lock_guard lock(queue_mutex_);
-    if (!pending_.empty() || ticking_ != 0) return false;
+  if (!draining_.load(std::memory_order_acquire) || !engine_idle()) {
+    return false;
   }
-  if (results_inflight_.load(std::memory_order_acquire) != 0) return false;
   {
     std::lock_guard lock(reactor.mutex);
-    if (!reactor.incoming.empty() || !reactor.results.empty()) return false;
+    if (!reactor.incoming.empty()) return false;
   }
   for (const auto& [fd, conn] : reactor.connections) {
     if (conn.wants_drain_ack || conn.write_pos < conn.write_buf.size()) {
@@ -729,8 +721,15 @@ void Server::flush_dirty(Reactor& reactor) {
       close_connection(reactor, fd);
       continue;
     }
-    reactor.fds[conn.poll_idx].events =
-        static_cast<short>(backlog ? (POLLIN | POLLOUT) : POLLIN);
+    short& events = reactor.fds[conn.poll_idx].events;
+    if (conn.write_buf.size() > kMaxReplyBacklog) {
+      // The client is not reading its replies: stop reading its requests
+      // until they are flushed.
+      if ((events & POLLIN) != 0) m_reads_paused_.add(1);
+      events = POLLOUT;
+    } else {
+      events = static_cast<short>(backlog ? (POLLIN | POLLOUT) : POLLIN);
+    }
   }
   reactor.dirty_fds.clear();
 }
@@ -817,11 +816,10 @@ void Server::engine_loop() {
     batch.clear();
     {
       std::lock_guard lock(queue_mutex_);
-      while (!pending_.empty() && batch.size() < options_.max_batch) {
+      while (!pending_.empty() && batch.size() < kMaxTickBatch) {
         batch.push_back(std::move(pending_.front()));
         pending_.pop_front();
       }
-      ticking_ += batch.size();
     }
     if (batch.empty()) continue;  // another worker got there first
     m_ticks_.add(1);
@@ -876,10 +874,6 @@ void Server::engine_loop() {
         outcomes.push_back(std::move(outcome));
       }
     }
-    // Inflight is raised BEFORE our ticking_ share is released, so a
-    // drain checker that sees the queue idle is guaranteed to still see
-    // these outcomes in flight until a reactor queues each reply.
-    results_inflight_.fetch_add(outcomes.size(), std::memory_order_acq_rel);
     std::fill(touched.begin(), touched.end(), 0);
     for (SolveOutcome& outcome : outcomes) {
       const std::size_t target = outcome.reactor;
@@ -893,11 +887,6 @@ void Server::engine_loop() {
     for (std::size_t i = 0; i < touched.size(); ++i) {
       if (touched[i] != 0) wake_reactor(*reactors_[i]);
     }
-    {
-      std::lock_guard lock(queue_mutex_);
-      ticking_ -= batch.size();
-    }
-    if (draining_.load(std::memory_order_acquire)) wake_all_reactors();
   }
 }
 

@@ -37,7 +37,7 @@
 //   ─ per-reactor svc.reactor<i>.* counters next to the svc.* aggregates
 //
 //   engine workers (ServerOptions::engine_workers, shared BatchSolver)
-//   ─ each pulls a coalesced batch (up to max_batch) from the shared
+//   ─ each pulls a coalesced batch (up to 64 Solves) from the shared
 //     pending queue into ONE engine::BatchSolver tick over leased Scratch
 //     arenas; multiple ticks run concurrently when engine_workers > 1
 //   ─ sheds requests whose deadline passed before dispatch
@@ -45,10 +45,15 @@
 //
 // Backpressure never blocks and never hangs: a request is either answered
 // with its solve result or with an explicit Error (Overloaded /
-// DeadlineExceeded / Draining / BadRequest). An inline Solve is never
-// queued, so max_queue does not count it and its deadline never sheds it
-// (it is dispatched as it is decoded); a reactor that is solving reads
-// nothing, so TCP flow control pushes back on its connections.
+// DeadlineExceeded / Draining / BadRequest). A Solve is decoded before
+// admission, so a malformed one is a BadRequest even when the queue is
+// full. An inline Solve is never queued, so max_queue does not count it
+// and its deadline never sheds it (it is dispatched as it is decoded); a
+// reactor that is solving reads nothing, so TCP flow control pushes back
+// on its connections. A client must read while it pipelines: a
+// connection whose write buffer holds more than 4 MiB of replies is not
+// read again until that buffer is flushed (svc.reads_paused counts the
+// pauses), so its unread replies cannot grow without bound.
 //
 // Reply ordering: each connection's replies ride one FIFO write buffer, so
 // frames are ordered per connection; with engine_workers > 1, replies to
@@ -61,11 +66,12 @@
 // Drain: a Drain request or SIGTERM (wired via notify_signal(), which is
 // async-signal-safe) stops accepting new connections and new Solves;
 // every request already admitted — on any reactor — is still solved and
-// its reply flushed before run() returns; the DrainOk ack is queued only
-// once the engine is idle and every result has been delivered, so it is
-// ordered after every reply on its connection. An inline Solve needs no
-// such accounting: its reply is in the write buffer before its reactor
-// polls again. Zero dropped in-flight requests, across all reactors.
+// its reply flushed before run() returns. A reactor acks the drain and
+// exits only once no reactor has a Solve on the engine (every
+// Reactor::engine_outstanding is zero), so the DrainOk ack is ordered
+// after every reply on its connection. An inline Solve needs no such
+// accounting: its reply is in the write buffer before its reactor polls
+// again. Zero dropped in-flight requests, across all reactors.
 //
 // Determinism: replies are byte-identical to the serial entry points
 // (engine::solve_serial_reference) regardless of batching composition or
@@ -126,11 +132,10 @@ struct ServerOptions {
   /// treated as 1. Exposed by lrb_serve --engine-workers.
   std::size_t engine_workers = 1;
 
-  /// Coalescing cap: at most this many Solves per engine tick.
-  std::size_t max_batch = 64;
   /// Admission control: engine-bound Solves arriving while this many are
   /// already pending (queued, not yet dispatched) are shed with
-  /// Overloaded. Inline Solves never enter the queue.
+  /// Overloaded, decided as each decoded Solve is queued. Inline Solves
+  /// never enter the queue.
   std::size_t max_queue = 256;
   std::size_t max_connections = 256;
   /// Admission cap on concurrently open streaming sessions (across all
@@ -238,9 +243,12 @@ class Server {
     /// warmed to the engine's bounds; never shared with the engine.
     engine::Scratch arena;
     /// Solves this reactor admitted to the engine whose outcomes it has
-    /// not yet taken from `results`: while nonzero, none of its Solves
-    /// runs inline, so every connection's replies stay in request order.
-    std::size_t engine_outstanding = 0;
+    /// not yet queued for writing: raised under queue_mutex_ as a Solve
+    /// is queued, lowered by this reactor once the outcome's reply is in a
+    /// write buffer (or counted dropped). While nonzero, none of its
+    /// Solves runs inline, so every connection's replies stay in request
+    /// order; zero on every reactor is the drain barrier (engine_idle).
+    std::atomic<std::size_t> engine_outstanding{0};
     /// Complete Solve frames the current poll pass read in.
     std::size_t ready_solves = 0;
 
@@ -291,6 +299,9 @@ class Server {
   void flush_dirty(Reactor& reactor);  ///< flush + recompute events + close
   void close_connection(Reactor& reactor, int fd);
   void drain_results(Reactor& reactor);
+  /// No reactor has a Solve on the engine: queued, in a tick, or posted
+  /// and not yet taken.
+  [[nodiscard]] bool engine_idle() const;
   void maybe_finish_drain(Reactor& reactor);
   [[nodiscard]] bool reactor_drained(Reactor& reactor);
 
@@ -318,15 +329,8 @@ class Server {
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<PendingSolve> pending_;
-  std::size_t ticking_ = 0;  ///< Solves currently inside some tick
   bool stop_engine_ = false;
   std::vector<std::thread> engine_threads_;
-  /// Outcomes produced but not yet queued into a connection write buffer
-  /// (or counted dropped). A worker increments this BEFORE releasing its
-  /// ticking_ share, so "pending empty && ticking==0 && inflight==0" is
-  /// never observed while a reply is still in flight — the drain-ack
-  /// barrier.
-  std::atomic<std::size_t> results_inflight_{0};
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> aborting_{false};  ///< poll failure: exit, skip drain
@@ -350,6 +354,7 @@ class Server {
   obs::Counter& m_bad_requests_;
   obs::Counter& m_ticks_;
   obs::Counter& m_dropped_replies_;
+  obs::Counter& m_reads_paused_;
   obs::Histogram& m_request_latency_ms_;
   obs::Histogram& m_tick_batch_;
 };

@@ -3,13 +3,15 @@
 // job/processor relabeling, fingerprints separate canonically distinct
 // instances, permutation mapping round-trips exactly, the sharded LRU
 // evicts in recency order with exact byte accounting, single-flight
-// collapses concurrent identical misses to one solve, and the
+// collapses concurrent identical misses to one solve (in the engine too:
+// an identical key in flight is waited for, not solved again), and the
 // cache-enabled engine stays byte-identical to cached_serial_reference.
 //
 // Suite names all contain `Cache` so the thread-sanitize CI job picks the
 // concurrency tests up via its -R filter.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -501,17 +503,80 @@ TEST(CacheEngine, BatchDedupSolvesIdenticalItemsOnce) {
   for (const auto& result : results) {
     EXPECT_EQ(result.assignment, want.assignment);
   }
-  // One solve fanned out to all 24 replies.
+  // One solve fanned out to all 24 replies: the first probe leads, and
+  // every other copy hits or waits for it through the single-flight.
   EXPECT_EQ(registry.counter("engine.instances_solved").value(), 1u);
+  EXPECT_EQ(registry.counter("cache.single_flight_bypass").value(), 0u);
+}
+
+TEST(CacheEngine, SolveItemWaitsForATicksInFlightSolve) {
+  // A tick is solving a PTAS item when a solve_item caller (a reactor)
+  // asks for the same problem under other labels. The caller waits for
+  // the tick's solve instead of running its own.
+  obs::Registry registry;
+  engine::BatchOptions options;
+  options.workers = 2;
+  options.cache_bytes = std::size_t{8} << 20;
+  options.metrics = &registry;
+  engine::BatchSolver solver(options);
+
+  // A 512-job PTAS item that takes about 60 ms on a 4-vCPU VM.
+  const Instance instance = mixed_corpus_instance(146, 1);
+  ASSERT_EQ(instance.num_jobs(), 512u);
+  const solver::SolverSpec ptas(BackendId::kPtas);
+  const std::int64_t k = static_cast<std::int64_t>(instance.num_jobs() / 4);
+  const auto serial_begin = std::chrono::steady_clock::now();
+  const RebalanceResult want_a =
+      engine::cached_serial_reference(ptas, instance, k);
+  const double serial_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() -
+                               serial_begin)
+                               .count();
+  // The caller below probes within microseconds of the tick's miss; the
+  // solve it must overlap takes far longer.
+  ASSERT_GE(serial_ms, 20.0);
+  Rng rng(0x51);
+  const Instance relabeled =
+      relabel(instance, random_job_perm(instance.num_jobs(), rng),
+              random_proc_perm(instance.num_procs, rng));
+  const RebalanceResult want_b =
+      engine::cached_serial_reference(ptas, relabeled, k);
+
+  engine::BatchSolver::TickItem tick_item;
+  tick_item.instance = &instance;
+  tick_item.k = k;
+  tick_item.spec = ptas;
+  std::vector<RebalanceResult> tick_results;
+  std::thread ticker(
+      [&] { tick_results = solver.solve_items({&tick_item, 1}); });
+  // The tick's probe missed: it leads the key and is solving it.
+  while (registry.counter("cache.misses").value() == 0) {
+    std::this_thread::yield();
+  }
+  engine::BatchSolver::TickItem item = tick_item;
+  item.instance = &relabeled;
+  const RebalanceResult got = solver.solve_item(item);
+  ticker.join();
+
+  EXPECT_EQ(registry.counter("engine.instances_solved").value(), 1u);
+  EXPECT_EQ(registry.counter("cache.single_flight_waits").value(), 1u);
+  EXPECT_EQ(registry.counter("cache.single_flight_bypass").value(), 0u);
+  ASSERT_EQ(tick_results.size(), 1u);
+  EXPECT_EQ(tick_results[0].assignment, want_a.assignment);
+  EXPECT_EQ(tick_results[0].makespan, want_a.makespan);
+  EXPECT_EQ(got.assignment, want_b.assignment);
+  EXPECT_EQ(got.makespan, want_b.makespan);
+  EXPECT_EQ(got.moves, want_b.moves);
+  EXPECT_EQ(got.cost, want_b.cost);
 }
 
 TEST(CacheEngine, ConcurrentTicksSharingKeysNeverDeadlock) {
   // Ticks racing over the same key set from several threads, each
   // submitter help-draining the others' tasks, keep meeting each other's
-  // in-flight leaders. Every tick must terminate with every reply
-  // byte-identical to the cached reference, whether its key was a hit,
-  // its own leader's solve, or a WaitMode::kNoBlock bypass solved
-  // uncached.
+  // in-flight leaders and waiting for them. A leader runs its solve and
+  // waits for nothing, so every tick must terminate, with every reply
+  // byte-identical to the cached reference whether its key was a hit, a
+  // wait for another thread's solve, or its own leader's solve.
   obs::Registry registry;
   engine::BatchOptions options;
   options.workers = 2;
@@ -562,6 +627,11 @@ TEST(CacheEngine, ConcurrentTicksSharingKeysNeverDeadlock) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+  // Each key was solved at most once per eviction-free lifetime: never
+  // past an in-flight leader.
+  EXPECT_EQ(registry.counter("engine.instances_solved").value(),
+            instances.size());
+  EXPECT_EQ(registry.counter("cache.single_flight_bypass").value(), 0u);
 }
 
 TEST(CacheEngine, DedupKeysDistinguishAlgoAndPtasParameters) {
@@ -606,8 +676,9 @@ TEST(CacheEngine, DedupKeysDistinguishAlgoAndPtasParameters) {
 }
 
 TEST(CacheEngine, ManyThreadsHammeringTheSolverStayConsistent) {
-  // TSan target: concurrent single-item ticks over a small instance pool
-  // exercise probe / single-flight / publish / eviction from many threads.
+  // TSan target: concurrent solve_item callers over a small instance pool
+  // exercise probe / single-flight wait / publish / eviction from many
+  // threads; a caller meeting an identical in-flight key waits for it.
   obs::Registry registry;
   engine::BatchOptions options;
   options.workers = 2;

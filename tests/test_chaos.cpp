@@ -65,11 +65,12 @@ TEST(Chaos, RestartCampaignRidesAcrossServerRestart) {
 
 TEST(Chaos, CacheEnabledCampaignNeverServesStaleOrMisPermutedReplies) {
   // The full fault battery with the solution cache turned on: every reply
-  // — whether solved cold, deduped inside a tick, re-solved after a lost
-  // reply, or served straight from the warm cache on a retry — must be
-  // byte-identical to engine::cached_serial_reference for ITS OWN request
-  // labels. A stale entry, a wrong permutation mapping, or a key mixup
-  // between retried requests would fail the byte-compare.
+  // — whether solved cold, handed over by an identical in-flight solve,
+  // re-solved after a lost reply, or served straight from the warm cache
+  // on a retry — must be byte-identical to engine::cached_serial_reference
+  // for ITS OWN request labels. A stale entry, a wrong permutation
+  // mapping, or a key mixup between retried requests would fail the
+  // byte-compare.
   for (const std::uint64_t seed : {0xcac4eULL, 0xfeedULL, 0x31337ULL}) {
     CampaignOptions options;
     options.seed = seed;

@@ -419,9 +419,7 @@ TEST(SvcLoopback, SolveWhoseTotalSizeOverflowsIsABadRequestOnAnOpenConnection) {
 }
 
 TEST(SvcLoopback, ConcurrentClientsStayDeterministic) {
-  ServerOptions options;
-  options.max_batch = 4;  // force multi-request coalescing across ticks
-  TestServer ts(std::move(options));
+  TestServer ts;
   constexpr int kClients = 4;
   constexpr int kRequests = 8;
   std::vector<std::thread> threads;
@@ -593,7 +591,6 @@ TEST(SvcLoopback, DeadlineShedsBeforeDispatch) {
 TEST(SvcLoopback, QueueDepthBackpressureShedsWithOverloaded) {
   ServerOptions options;
   options.max_queue = 1;
-  options.max_batch = 1;
   options.tick_delay_ms = 300;  // hold the first solve in the queue
   TestServer ts(std::move(options));
   Client client = ts.connect();
@@ -621,6 +618,75 @@ TEST(SvcLoopback, QueueDepthBackpressureShedsWithOverloaded) {
   EXPECT_EQ(header.type, MsgType::kSolveOk);
   EXPECT_EQ(payload, expected_reply_payload(first));
   EXPECT_EQ(ts.registry().counter("svc.shed_overloaded").value(), 1u);
+}
+
+TEST(SvcLoopback, UnreadRepliesStopTheReactorReading) {
+  // A client pipelines Solves and reads no reply. Past the reply backlog
+  // cap (4 MiB) its reactor stops reading it, so the sends stall in the
+  // socket instead of piling replies up in the server. Each 4096-job
+  // `none` Solve is an 80 KiB request and a 16 KiB reply: about 260 of
+  // them fill the backlog, well short of the 800 sent.
+  constexpr std::uint64_t kSent = 800;
+  ServerOptions options;
+  options.max_queue = kSent;  // admit every pipelined Solve
+  TestServer ts(std::move(options));
+  Client client = ts.connect();
+  GeneratorOptions gen;
+  gen.num_jobs = 4096;
+  gen.num_procs = 16;
+  std::vector<std::string> payloads;
+  std::vector<std::string> wants;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SolveRequest request;
+    request.spec = solver::BackendId::kNone;
+    request.instance = random_instance(gen, seed);
+    request.k = 8;
+    payloads.push_back(encode_solve_request(request));
+    wants.push_back(expected_reply_payload(request));
+  }
+  // send_frame and recv_frame share only the socket, so this thread may
+  // send while the test body receives.
+  std::atomic<bool> send_failed{false};
+  std::thread sender([&] {
+    std::string error;
+    for (std::uint64_t id = 0; id < kSent; ++id) {
+      if (!client.send_frame(MsgType::kSolve, id,
+                             payloads[id % payloads.size()], &error)) {
+        send_failed.store(true);
+        return;
+      }
+    }
+  });
+  // Wait until the server reads no more: svc.requests_solve holds still
+  // for 300 ms, or has reached every Solve sent.
+  const obs::Counter& solves = ts.registry().counter("svc.requests_solve");
+  std::uint64_t read = 0;
+  std::uint64_t before = 0;
+  do {
+    before = read;
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    read = solves.value();
+  } while (read < kSent && (read == 0 || read != before));
+  EXPECT_LT(read, kSent / 2) << "the server kept reading an unread client";
+  EXPECT_GE(ts.registry().counter("svc.reads_paused").value(), 1u);
+  // Reading resumes the flow: every reply arrives, byte-identical.
+  std::uint64_t matched = 0;
+  for (std::uint64_t i = 0; i < kSent; ++i) {
+    FrameHeader header;
+    std::string payload, error;
+    if (!client.recv_frame(&header, &payload, &error)) {
+      ADD_FAILURE() << "reply " << i << ": " << error;
+      break;
+    }
+    if (header.type == MsgType::kSolveOk && header.request_id < kSent &&
+        payload == wants[header.request_id % wants.size()]) {
+      ++matched;
+    }
+  }
+  sender.join();
+  EXPECT_FALSE(send_failed.load());
+  EXPECT_EQ(matched, kSent);
+  EXPECT_EQ(solves.value(), kSent);
 }
 
 TEST(SvcLoopback, DrainRequestAnswersInFlightThenAcks) {

@@ -2,7 +2,9 @@
 // protocol (docs/serving.md) over TCP and/or Unix-domain sockets. A cheap
 // Solve that reaches an otherwise idle reactor is answered by that
 // reactor; every other Solve is batched into engine::BatchSolver ticks
-// under per-request deadlines and queue-depth backpressure. It drains
+// under per-request deadlines and queue-depth backpressure. A client must
+// read its replies while it pipelines: a connection holding more than
+// 4 MiB of unsent replies is not read until they are flushed. It drains
 // gracefully on SIGTERM/SIGINT or a Drain request (zero dropped in-flight
 // requests).
 //
@@ -18,7 +20,6 @@
 //   --engine-workers N (1)  engine tick workers; > 1 runs concurrent
 //                        BatchSolver ticks (replies stay byte-identical)
 //   --workers N (0)      solver pool size; 0 = hardware concurrency
-//   --max-batch N (64)   solve coalescing cap per engine tick
 //   --max-queue N (256)  admission control: shed engine Solves beyond this
 //                        depth (inline Solves never queue)
 //   --max-conns N (256)  connection cap
@@ -65,7 +66,9 @@ void print_help() {
       << lrb::engine::kWarmProcs << " processors, is answered by\n"
       "the reactor that decoded it when it is the only Solve that reactor\n"
       "read in one poll pass and none of the reactor's Solves is on the\n"
-      "engine; every other Solve goes through the engine's ticks.\n"
+      "engine; every other Solve goes through the engine's ticks. A client\n"
+      "must read its replies while it pipelines: a connection holding more\n"
+      "than 4 MiB of unsent replies is not read until they are flushed.\n"
       "\n"
       "options:\n"
       "  --unix PATH           listen on a Unix-domain socket\n"
@@ -74,7 +77,6 @@ void print_help() {
       "  --reactors N          event-loop shards (1)\n"
       "  --engine-workers N    concurrent engine tick workers (1)\n"
       "  --workers N           solver pool size; 0 = hardware (0)\n"
-      "  --max-batch N         solve coalescing cap per tick (64)\n"
       "  --max-queue N         shed engine Solves beyond this depth (256)\n"
       "  --max-conns N         connection cap (256)\n"
       "  --tick-delay-ms N     chaos knob: delay each engine tick (0)\n"
@@ -113,7 +115,8 @@ void print_help() {
       "              svc.requests_session for the v2 frames;\n"
       "              svc.solves_inline counts Solves answered on their\n"
       "              reactor, svc.engine_ticks and svc.tick_batch_size\n"
-      "              the engine's ticks only\n"
+      "              the engine's ticks only, svc.reads_paused the times\n"
+      "              a connection was not read for its unsent replies\n"
       "    engine.*  batch-engine tick and latency metrics\n"
       "    cache.*   solution cache hits/misses/evictions (--cache-mb)\n"
       "    stream.*  streaming sessions (docs/streaming.md#metrics):\n"
@@ -137,11 +140,11 @@ int main(int argc, char** argv) {
     return 0;
   }
   for (const auto& key : flags.keys()) {
-    static const char* known[] = {"unix",      "tcp",           "bind",
-                                  "reactors",  "engine-workers",
-                                  "workers",   "max-batch",     "max-queue",
-                                  "max-conns", "tick-delay-ms", "cache-mb",
-                                  "metrics-json", "help",       "version"};
+    static const char* known[] = {"unix",          "tcp",       "bind",
+                                  "reactors",      "engine-workers",
+                                  "workers",       "max-queue", "max-conns",
+                                  "tick-delay-ms", "cache-mb",  "metrics-json",
+                                  "help",          "version"};
     if (std::find_if(std::begin(known), std::end(known), [&](const char* k) {
           return key == k;
         }) == std::end(known)) {
@@ -158,7 +161,6 @@ int main(int argc, char** argv) {
   options.engine.workers = static_cast<std::size_t>(*workers);
   const std::int64_t reactors = flags.get_int("reactors", 1);
   const std::int64_t engine_workers = flags.get_int("engine-workers", 1);
-  const std::int64_t max_batch = flags.get_int("max-batch", 64);
   const std::int64_t max_queue = flags.get_int("max-queue", 256);
   const std::int64_t max_conns = flags.get_int("max-conns", 256);
   const std::int64_t tick_delay = flags.get_int("tick-delay-ms", 0);
@@ -168,7 +170,6 @@ int main(int argc, char** argv) {
   const auto cache_mb = flags.get_count("cache-mb", 0);
   if (reactors < 1) return fail("--reactors must be >= 1");
   if (engine_workers < 1) return fail("--engine-workers must be >= 1");
-  if (max_batch < 1) return fail("--max-batch must be >= 1");
   if (max_queue < 1) return fail("--max-queue must be >= 1");
   if (max_conns < 1) return fail("--max-conns must be >= 1");
   if (tick_delay < 0) return fail("--tick-delay-ms must be >= 0");
@@ -178,7 +179,6 @@ int main(int argc, char** argv) {
   }
   options.reactors = static_cast<std::size_t>(reactors);
   options.engine_workers = static_cast<std::size_t>(engine_workers);
-  options.max_batch = static_cast<std::size_t>(max_batch);
   options.max_queue = static_cast<std::size_t>(max_queue);
   options.max_connections = static_cast<std::size_t>(max_conns);
   options.tick_delay_ms = static_cast<std::uint32_t>(tick_delay);
